@@ -120,16 +120,11 @@ let product_proof cfg pairs =
 let honest_proof cfg state =
   product_proof cfg (Array.init (cfg.r - 1) (fun _ -> (state, state)))
 
-let top_eigpair g =
-  let evals, evecs = Eig.hermitian g in
-  let n = Mat.rows g in
-  (evals.(n - 1), Vec.init n (fun i -> Mat.get evecs i (n - 1)))
-
 let optimal_entangled_attack cfg ~x_state ~y_state =
   if cfg.r < 2 then (Cx.norm2 (Vec.dot y_state x_state), Vec.basis 1 0)
   else begin
     let gram = attack_gram cfg ~x_state ~y_state in
-    let top, opt = top_eigpair gram in
+    let top, opt = Eig.top_hermitian gram in
     (Float.max 0. top, opt)
   end
 
@@ -189,7 +184,7 @@ let star_attack_gram cfg ~root_state ~leaf_states =
 
 let optimal_entangled_star_attack cfg ~root_state ~leaf_states =
   let gram = star_attack_gram cfg ~root_state ~leaf_states in
-  let top, opt = top_eigpair gram in
+  let top, opt = Eig.top_hermitian gram in
   (Float.max 0. top, opt)
 
 let optimal_split_attack st cfg ~x_state ~y_state ~cut_qubits ~sweeps =
@@ -207,11 +202,11 @@ let optimal_split_attack st cfg ~x_state ~y_state ~cut_qubits ~sweeps =
       (* optimize xi1 with xi2 fixed: contract the minor (second)
          factor of the acceptance form with xi2 *)
       let g1 = Mat.quad_minor gram !xi2 in
-      let _, v1 = top_eigpair g1 in
+      let _, v1 = Eig.top_hermitian g1 in
       xi1 := v1;
       (* optimize xi2 with xi1 fixed: contract the major factor *)
       let g2 = Mat.quad_major gram !xi1 in
-      let lambda, v2 = top_eigpair g2 in
+      let lambda, v2 = Eig.top_hermitian g2 in
       xi2 := v2;
       value := Float.max 0. lambda
     done;

@@ -1,11 +1,19 @@
 (** Eigensolvers for real symmetric and complex Hermitian matrices.
 
-    Both are based on the cyclic Jacobi rotation method, which is slow
-    (cubic per sweep) but numerically robust and dependency-free — the
-    matrices in this repository are at most a few hundred rows.  The
-    Hermitian case is reduced to the real symmetric one through the
-    standard embedding [H = A + iB  ->  [[A, -B]; [B, A]]], whose
-    spectrum doubles every eigenvalue of [H]. *)
+    The full-spectrum solvers ({!symmetric}, {!hermitian} and the
+    functions built on them) use cyclic Jacobi rotations: cubic per
+    sweep, but numerically robust and dependency-free.  They serve the
+    small operators of the quantum layer (densities, POVM elements,
+    Schmidt decompositions).  The Hermitian case is reduced to the real
+    symmetric one through the standard embedding
+    [H = A + iB  ->  [[A, -B]; [B, A]]], whose spectrum doubles every
+    eigenvalue of [H].
+
+    Callers that need only the largest eigenpair -- the exact
+    entangled optimum over an acceptance form of a few hundred rows,
+    and the alternating product/node optimisers -- use
+    {!top_hermitian}, a Lanczos solver that never forms the full
+    spectrum. *)
 
 (** [symmetric a] diagonalizes the real symmetric matrix [a] (given as
     an array of rows).  Returns [(evals, evecs)] with eigenvalues in
@@ -19,6 +27,19 @@ val symmetric : float array array -> float array * float array array
     column is the eigenvector of the [i]-th eigenvalue.
     @raise Invalid_argument if [m] is not square. *)
 val hermitian : Mat.t -> float array * Mat.t
+
+(** [top_hermitian m] is the largest eigenvalue of the Hermitian
+    matrix [m] with a unit eigenvector for it, computed by Lanczos
+    iteration on [m] directly (no real embedding) with full, twice
+    applied reorthogonalisation.  The start vector is dense and drawn
+    from a fixed seed, so the result is deterministic: equal inputs give
+    bit-equal outputs.  Iteration stops when the Ritz residual
+    [||m x - lambda x||] falls to [1e-12 ||m||_F], on breakdown, or
+    after [rows m] steps.  In a degenerate top eigenspace the vector
+    returned is one member of it, not necessarily the one {!hermitian}
+    returns.
+    @raise Invalid_argument if [m] is not square or is empty. *)
+val top_hermitian : Mat.t -> float * Vec.t
 
 (** [eigenvalues_hermitian m] is [fst (hermitian m)] — the ascending
     spectrum of a Hermitian matrix. *)

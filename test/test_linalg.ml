@@ -172,6 +172,55 @@ let test_sqrt_psd () =
   Alcotest.(check bool) "sqrt^2 = psd" true (Mat.equal ~eps:1e-6 (Mat.mul s s) psd);
   Alcotest.(check bool) "sqrt hermitian" true (Mat.is_hermitian ~eps:1e-7 s)
 
+(* Eig.top_hermitian (Lanczos) against the Jacobi oracle: same top
+   eigenvalue, small residual, unit vector. *)
+let top_agrees ?(name = "top_hermitian") g =
+  let n = Mat.rows g in
+  let lambda, x = Eig.top_hermitian g in
+  let oracle = (Eig.eigenvalues_hermitian g).(n - 1) in
+  let gx = Mat.apply g x in
+  Vec.axpy ~alpha:(Cx.re (-.lambda)) x gx;
+  check_float ~eps:1e-9 (name ^ ": eigenvalue") oracle lambda;
+  check_float ~eps:1e-12 (name ^ ": unit vector") 1. (Vec.norm x);
+  let bound = 1e-9 *. Float.max 1. (Mat.frobenius_norm g) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: residual %.3g <= %.3g" name (Vec.norm gx) bound)
+    true
+    (Vec.norm gx <= bound)
+
+let test_top_degenerate () =
+  (* U diag U^dagger with the maximum repeated three times *)
+  let n = 9 in
+  let _, u = Eig.hermitian (random_hermitian rng n) in
+  let spec = [| 2.; 2.; 2.; 1.5; 0.3; 0.; -0.4; -1.; -2. |] in
+  let d = Mat.init n n (fun i j -> if i = j then Cx.re spec.(i) else Cx.zero) in
+  let g = Mat.mul (Mat.mul u d) (Mat.adjoint u) in
+  let g = Mat.scale (Cx.re 0.5) (Mat.add g (Mat.adjoint g)) in
+  top_agrees ~name:"degenerate top" g
+
+let test_top_rank_deficient () =
+  let v = Mat.init 3 12 (fun _ _ -> Cx.make (gaussian rng) (gaussian rng)) in
+  top_agrees ~name:"V^dagger V, rank 3" (Mat.mul (Mat.adjoint v) v)
+
+let test_top_zero_and_scalar () =
+  let lambda, x = Eig.top_hermitian (Mat.create 5 5) in
+  check_float "zero matrix: eigenvalue" 0. lambda;
+  check_float "zero matrix: unit vector" 1. (Vec.norm x);
+  let lambda, x = Eig.top_hermitian (Mat.init 1 1 (fun _ _ -> Cx.re 2.5)) in
+  check_float "1x1: eigenvalue" 2.5 lambda;
+  check_float "1x1: unit vector" 1. (Vec.norm x);
+  Alcotest.check_raises "not square"
+    (Invalid_argument "Eig.top_hermitian: not square") (fun () ->
+      ignore (Eig.top_hermitian (Mat.create 2 3)))
+
+let test_top_deterministic () =
+  let g = random_hermitian rng 40 in
+  let l1, x1 = Eig.top_hermitian g and l2, x2 = Eig.top_hermitian g in
+  Alcotest.(check bool) "eigenvalue bit-equal" true
+    (Int64.bits_of_float l1 = Int64.bits_of_float l2);
+  Alcotest.(check bool) "vector bit-equal" true
+    (Vec.raw_re x1 = Vec.raw_re x2 && Vec.raw_im x1 = Vec.raw_im x2)
+
 (* --- Subspace --- *)
 
 let test_subspace_projection_idempotent () =
@@ -245,9 +294,22 @@ let prop_trace_tensor =
       let rhs = Cx.mul (Mat.trace a) (Mat.trace b) in
       Cx.is_close ~eps:1e-8 lhs rhs)
 
+let prop_top_hermitian =
+  QCheck.Test.make ~name:"top_hermitian = Jacobi top, dims 1..64" ~count:40
+    QCheck.(pair (int_range 1 64) small_nat)
+    (fun (n, seed) ->
+      let st = Random.State.make [| n; seed; 79 |] in
+      top_agrees ~name:(Printf.sprintf "n=%d" n) (random_hermitian st n);
+      true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_norm_scale; prop_cauchy_schwarz; prop_trace_tensor ]
+    [
+      prop_norm_scale;
+      prop_cauchy_schwarz;
+      prop_trace_tensor;
+      prop_top_hermitian;
+    ]
 
 let () =
   Alcotest.run "linalg"
@@ -282,6 +344,11 @@ let () =
             test_eig_hermitian_reconstruct;
           Alcotest.test_case "trace matches" `Quick test_eig_trace_matches;
           Alcotest.test_case "sqrt psd" `Quick test_sqrt_psd;
+          Alcotest.test_case "top degenerate" `Quick test_top_degenerate;
+          Alcotest.test_case "top rank-deficient" `Quick
+            test_top_rank_deficient;
+          Alcotest.test_case "top zero and 1x1" `Quick test_top_zero_and_scalar;
+          Alcotest.test_case "top deterministic" `Quick test_top_deterministic;
         ] );
       ( "subspace",
         [

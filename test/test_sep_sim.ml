@@ -62,9 +62,12 @@ let test_honest_complete () =
   in
   check_float ~eps:1e-10 "honest accepted" 1. (Sep_sim.accept inst)
 
+(* The full chain of proof classes on the entangled table's instance:
+   product <= node-entangled (Definition 8) <= global (Definition 6)
+   <= the Lemma 17 single-round cap. *)
 let test_hierarchy () =
   let x_state = toy 5 and y_state = toy 11 in
-  for r = 2 to 4 do
+  for r = 2 to 5 do
     let cfg = { Exact.r; qubits = 1 } in
     let product = Exact.best_product_attack cfg ~x_state ~y_state in
     let st = Random.State.make [| r; 77 |] in
@@ -73,6 +76,7 @@ let test_hierarchy () =
         ~sweeps:12
     in
     let global, _ = Exact.optimal_entangled_attack cfg ~x_state ~y_state in
+    let cap = Eq_path.soundness_bound_single ~r in
     Alcotest.(check bool)
       (Printf.sprintf "r=%d: product %.5f <= sep %.5f" r product sep)
       true
@@ -80,7 +84,11 @@ let test_hierarchy () =
     Alcotest.(check bool)
       (Printf.sprintf "r=%d: sep %.5f <= global %.5f" r sep global)
       true
-      (sep <= global +. 1e-7)
+      (sep <= global +. 1e-7);
+    Alcotest.(check bool)
+      (Printf.sprintf "r=%d: global %.5f <= Lemma 17 cap %.5f" r global cap)
+      true
+      (global <= cap +. 1e-7)
   done
 
 let test_optimizer_returns_consistent_value () =
