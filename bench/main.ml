@@ -363,6 +363,48 @@ let perf_fault_sweep =
   in
   fun () -> ignore (Qdp_faults.Sweep.run cfg)
 
+(* Prepare-once vs prepare-per-trial on the gt fault suite at the
+   registry defaults: every case runs [fault_case_trials] times under a
+   10% depolarizing plan.  [fresh] re-prepares the case (prefix
+   fingerprints, chain states, path graph) on every trial; otherwise
+   one prepared case serves all of them, as in the fault sweep. *)
+let fault_case_trials = 20
+
+let perf_fault_case_gt ~fresh =
+  let open Qdp_faults in
+  match Registry.find "gt" with
+  | None -> invalid_arg "bench: no gt entry"
+  | Some (Registry.Entry e) -> (
+      match e.faulty with
+      | None -> invalid_arg "bench: gt has no fault-aware realization"
+      | Some faulty ->
+          let spec = e.demo_fix Registry.default_spec in
+          let p = e.protocol spec in
+          let run = faulty spec in
+          let yes, no = e.demo (Registry.context_of spec) in
+          let honest inst = Option.to_list (p.Dqma.honest inst) in
+          let cases =
+            List.map (fun h -> (yes, h)) (honest yes)
+            @ List.map (fun h -> (no, h))
+                (honest no @ List.map snd (p.Dqma.attacks no))
+          in
+          fun () ->
+            List.iter
+              (fun (inst, prover) ->
+                let proto_st = Random.State.make [| 0x6e7 |] in
+                let env =
+                  Plan.env Plan.Depolarize ~strength:0.1
+                    ~st:(Random.State.make [| 0x6e7; 1 |])
+                in
+                let go =
+                  if fresh then fun st env -> run inst prover st env
+                  else run inst prover
+                in
+                for _ = 1 to fault_case_trials do
+                  ignore (go proto_st env)
+                done)
+              cases)
+
 let perf_monte_carlo =
   let spec = { Registry.default_spec with n = 24; r = 3; t = 3 } in
   let entries = List.filter_map Registry.find [ "eq"; "gt" ] in
@@ -581,6 +623,9 @@ let dump_perf () =
     let top_lanczos =
       time_at 1 1 (fun () -> ignore (Qdp_linalg.Eig.top_hermitian g5))
     in
+    (* One fault-sweep case: prepare per trial vs prepare once. *)
+    let case_fresh = time_at 1 1 (perf_fault_case_gt ~fresh:true) in
+    let case_prepared = time_at 1 1 (perf_fault_case_gt ~fresh:false) in
     [
       Printf.sprintf
         "{\"kernel\":\"entangled_gram_r3_q2\",\"naive_s\":%.6f,\"batched_s\":%.6f,\"speedup\":%.3f}"
@@ -591,6 +636,9 @@ let dump_perf () =
       Printf.sprintf
         "{\"kernel\":\"top_eig_r5\",\"naive_s\":%.6f,\"batched_s\":%.6f,\"speedup\":%.3f}"
         top_jacobi top_lanczos (top_jacobi /. top_lanczos);
+      Printf.sprintf
+        "{\"kernel\":\"fault_case_gt\",\"naive_s\":%.6f,\"batched_s\":%.6f,\"speedup\":%.3f}"
+        case_fresh case_prepared (case_fresh /. case_prepared);
     ]
   in
   let rows =

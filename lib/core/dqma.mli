@@ -153,15 +153,32 @@ val evaluate_packed : packed -> string * evaluation
     checks agreement — the network path Monte-Carlo estimates what the
     analytic path computes exactly. *)
 
-(** A network realization: one sampled run, [true] on accept. *)
-type ('i, 'p) network = Random.State.t -> 'i -> 'p -> bool
+(** A network realization, staged: [network inst prover] prepares the
+    case once (fingerprint states, prover registers, trees, tables —
+    everything that depends only on the instance and the prover), and
+    the returned closure is one sampled run, [true] on accept.
 
-(** A fault-aware network realization: one sampled run under a
-    {!Fault_env.t}, returning the raw per-node verdicts and stats so
-    the fault layer ([Qdp_faults]) can apply recovery semantics
-    (timeout-as-reject, degraded verdicts of the survivors, retry). *)
+    Contract: preparation is a pure function of [inst] and [prover]
+    and draws no randomness; runs only read the prepared value.  One
+    prepared case may therefore be run any number of times, from any
+    number of domains, and each run is equal to a fresh
+    prepare-and-run from the same [Random.State.t]. *)
+type ('i, 'p) network = 'i -> 'p -> Random.State.t -> bool
+
+(** A fault-aware network realization, staged like {!network}:
+    [faulty inst prover] prepares once, and each application of the
+    result to a sampling state and a {!Fault_env.t} is one run,
+    returning the raw per-node verdicts and stats so the fault layer
+    ([Qdp_faults]) can apply recovery semantics (timeout-as-reject,
+    degraded verdicts of the survivors, retry).  Faults and noise
+    never write into a prepared register: corruption builds a new
+    payload. *)
 type ('i, 'p) faulty_network =
-  Random.State.t -> Fault_env.t -> 'i -> 'p -> Runtime.verdict array * Runtime.stats
+  'i ->
+  'p ->
+  Random.State.t ->
+  Fault_env.t ->
+  Runtime.verdict array * Runtime.stats
 
 (** How to obtain a single-repetition acceptance probability. *)
 type ('i, 'p) backend = Analytic | Network of ('i, 'p) network
@@ -169,7 +186,8 @@ type ('i, 'p) backend = Analytic | Network of ('i, 'p) network
 (** [backend_accept ?trials ~st backend p inst prover] is the
     single-repetition acceptance under the chosen backend: exact for
     [Analytic], a [trials]-sample frequency for [Network] (default
-    2000; each run increments the [crossval.network_runs] counter). *)
+    2000; the case is prepared once, and each run increments the
+    [crossval.network_runs] counter). *)
 val backend_accept :
   ?trials:int ->
   st:Random.State.t ->
@@ -197,10 +215,11 @@ type check = {
     reproduce to 1e-6; probabilistic ones must place the analytic value
     inside the [z]-sigma (default 5) Wilson score interval of the
     sampled frequency ({!Qdp_network.Runtime.wilson}).  Increments
-    [crossval.checks] and [crossval.disagreements].  Strategies are
-    compared in parallel on the [Qdp_par] pool, each sampling from an
-    RNG state split off [st] in strategy order, so the check list is
-    byte-identical at every [--jobs] value. *)
+    [crossval.checks] and [crossval.disagreements].  Each strategy's
+    network case is prepared once, outside its sampling loop.
+    Strategies are compared in parallel on the [Qdp_par] pool, each
+    sampling from an RNG state split off [st] in strategy order, so the
+    check list is byte-identical at every [--jobs] value. *)
 val cross_validate :
   ?trials:int ->
   ?z:float ->

@@ -37,44 +37,43 @@ let source _p x y prover i =
 
 type answer = { a_alpha : int; a_eval : int }
 
-let respond p ~q x y prover ~alpha i =
-  { a_alpha = alpha; a_eval = poly_eval ~q (source p x y prover i) alpha }
-
+let respond tbl ~alpha = { a_alpha = alpha; a_eval = tbl.(alpha) }
 let commit_ok_left x b = Bool.equal b (parity x)
 let commit_ok_right y b = Bool.equal b (parity y)
-
-let answer_ok_left ~q x ~coin a =
-  a.a_alpha = coin && a.a_eval = poly_eval ~q x a.a_alpha
-
-let answer_ok_right ~q y a = a.a_eval = poly_eval ~q y a.a_alpha
-let table_ok_left ~q x t = t = table ~q x
 
 let probe_ok t ~beta ~value =
   beta >= 0 && beta < Array.length t && t.(beta) = value
 
-let table_ok_right ~q y t ~coin = probe_ok t ~beta:coin ~value:(poly_eval ~q y coin)
+let answer_ok_left tx ~coin a =
+  a.a_alpha = coin && probe_ok tx ~beta:coin ~value:a.a_eval
+
+let answer_ok_right ty a = probe_ok ty ~beta:a.a_alpha ~value:a.a_eval
+let table_ok_left tx t = t = tx
+let table_ok_right ty t ~coin = probe_ok t ~beta:coin ~value:ty.(coin)
 
 (* 2/3-turn variants: the only randomness is v_0's public challenge,
    so exact acceptance is the average of the decision predicate over
    all q coins.  The chain checks and endpoint anchors below are the
    same predicates the network nodes evaluate on the sampled coin. *)
-let accept_interactive p ~q x y prover =
+let accept_interactive p ~tx ~ty x y prover =
   let r = p.r in
+  let q = Array.length tx in
+  let tbl = Array.init (r + 1) (source p tx ty prover) in
+  let com = Array.init (r + 1) (fun i -> parity (source p x y prover i)) in
   let hits = ref 0 in
   for coin = 0 to q - 1 do
-    let ans = Array.init (r + 1) (respond p ~q x y prover ~alpha:coin) in
-    let com = Array.init (r + 1) (fun i -> parity (source p x y prover i)) in
+    let ans = Array.map (respond ~alpha:coin) tbl in
     let chain = ref true in
     for i = 0 to r - 1 do
       if ans.(i) <> ans.(i + 1) then chain := false;
       if p.turns = 3 && com.(i) <> com.(i + 1) then chain := false
     done;
     let left =
-      answer_ok_left ~q x ~coin ans.(0)
+      answer_ok_left tx ~coin ans.(0)
       && (p.turns < 3 || commit_ok_left x com.(0))
     in
     let right =
-      answer_ok_right ~q y ans.(r)
+      answer_ok_right ty ans.(r)
       && (p.turns < 3 || commit_ok_right y com.(r))
     in
     if !chain && left && right then incr hits
@@ -85,10 +84,11 @@ let accept_interactive p ~q x y prover =
    edge probes uses the left endpoint's private coin and v_r's anchor
    uses its own, so every coin appears in exactly one check and the
    acceptance probability is the product of agreement fractions. *)
-let accept_one_turn p ~q x y prover =
+let accept_one_turn p ~tx ~ty prover =
   let r = p.r in
-  let t = Array.init (r + 1) (fun i -> table ~q (source p x y prover i)) in
-  if not (table_ok_left ~q x t.(0)) then 0.
+  let q = Array.length tx in
+  let t = Array.init (r + 1) (source p tx ty prover) in
+  if not (table_ok_left tx t.(0)) then 0.
   else begin
     let fq = float_of_int q in
     let acc = ref 1. in
@@ -101,7 +101,7 @@ let accept_one_turn p ~q x y prover =
     done;
     let right = ref 0 in
     for beta = 0 to q - 1 do
-      if table_ok_right ~q y t.(r) ~coin:beta then incr right
+      if table_ok_right ty t.(r) ~coin:beta then incr right
     done;
     !acc *. (float_of_int !right /. fq)
   end
@@ -109,8 +109,9 @@ let accept_one_turn p ~q x y prover =
 let accept p (x, y) prover =
   validate p;
   let q = field p in
-  if p.turns = 1 then accept_one_turn p ~q x y prover
-  else accept_interactive p ~q x y prover
+  let tx = table ~q x and ty = table ~q y in
+  if p.turns = 1 then accept_one_turn p ~tx ~ty prover
+  else accept_interactive p ~tx ~ty x y prover
 
 let attacks p =
   [

@@ -79,23 +79,26 @@ type prover =
       (** nodes [<= j] answer for [x], the rest for [y] — the
           chain-splicing cheat *)
 
-(** [source params x y prover i] is the string node [i]'s answers are
-    derived from under [prover]. *)
-val source : params -> Gf2.t -> Gf2.t -> prover -> int -> Gf2.t
+(** [source params x y prover i] is the side node [i]'s answers are
+    derived from under [prover]: [x] or [y] — or any value standing
+    for that side, such as its evaluation table. *)
+val source : params -> 'a -> 'a -> prover -> int -> 'a
 
 (** A per-node response of the interactive (2/3-turn) variants: the
     claimed challenge and the claimed evaluation at it. *)
 type answer = { a_alpha : int; a_eval : int }
 
-(** [respond params ~q x y prover ~alpha i] is what the prover writes
-    to node [i] in the response turn when the revealed coin is
-    [alpha]. *)
-val respond : params -> q:int -> Gf2.t -> Gf2.t -> prover -> alpha:int -> int -> answer
+(** [respond tbl ~alpha] is what the prover writes in the response
+    turn to a node answering from evaluation table [tbl] (see
+    {!source}) when the revealed coin is [alpha]. *)
+val respond : int array -> alpha:int -> answer
 
 (** {2 Check predicates}
 
     Shared verbatim between the analytic acceptance below and the
-    network realization in {!Runtime_ieq}. *)
+    network realization in {!Runtime_ieq}.  The anchors read the
+    endpoints' evaluation tables [tx = table ~q x] and
+    [ty = table ~q y], built once per case. *)
 
 (** [v_0]'s commit anchor: the claimed digest equals [parity x]. *)
 val commit_ok_left : Gf2.t -> bool -> bool
@@ -105,16 +108,16 @@ val commit_ok_right : Gf2.t -> bool -> bool
 
 (** [v_0]'s response anchor: the claimed challenge equals the coin it
     was actually dealt, and the claimed evaluation is [P_x] at it. *)
-val answer_ok_left : q:int -> Gf2.t -> coin:int -> answer -> bool
+val answer_ok_left : int array -> coin:int -> answer -> bool
 
 (** [v_r]'s response anchor: the claimed evaluation is [P_y] at the
     claimed challenge (the challenge itself is hop-checked back to
     [v_0]'s anchor). *)
-val answer_ok_right : q:int -> Gf2.t -> answer -> bool
+val answer_ok_right : int array -> answer -> bool
 
 (** [v_0]'s table anchor (1-turn variant): the certificate is
     pointwise equal to [x]'s evaluation table. *)
-val table_ok_left : q:int -> Gf2.t -> int array -> bool
+val table_ok_left : int array -> int array -> bool
 
 (** One neighbour probe (1-turn variant): the left neighbour's table
     value at its private coin matches this node's table. *)
@@ -122,7 +125,7 @@ val probe_ok : int array -> beta:int -> value:int -> bool
 
 (** [v_r]'s table anchor at its private coin [beta]:
     [t.(beta) = P_y(beta)]. *)
-val table_ok_right : q:int -> Gf2.t -> int array -> coin:int -> bool
+val table_ok_right : int array -> int array -> coin:int -> bool
 
 (** {2 Analytic acceptance} *)
 

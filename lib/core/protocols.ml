@@ -10,8 +10,21 @@ open Qdp_codes
 let copy_pair a b = (Gf2.copy a, Gf2.copy b)
 let paper_reps (s : Registry.spec) = Eq_path.paper_repetitions ~r:s.r
 
+(* The staged backends ({!Dqma.network}, {!Dqma.faulty_network}) of a
+   runtime module: applying an instance and a prover prepares the case,
+   and every run of the returned closure only reads it. *)
+let staged_network prepare run s inst prover =
+  let prep = prepare s inst prover in
+  fun st -> fst (run st prep)
+
+let staged_faulty prepare run_faulty s inst prover =
+  let prep = prepare s inst prover in
+  fun st env -> run_faulty st env prep
+
 let eq_params (s : Registry.spec) =
   Eq_path.make ?repetitions:s.repetitions ~seed:s.seed ~n:s.n ~r:s.r ()
+
+let eq_case s (x, y) strategy = Runtime_eq.prepare (eq_params s) x y strategy
 
 let eq_entry =
   Registry.Entry
@@ -27,18 +40,8 @@ let eq_entry =
       protocol = (fun s -> Dqma.eq_path (eq_params s));
       demo =
         (fun ctx -> (copy_pair ctx.x ctx.x, copy_pair ctx.x ctx.y));
-      network =
-        Some
-          (fun s ->
-            let params = eq_params s in
-            fun st (x, y) strategy ->
-              fst (Runtime_eq.run_once st params x y strategy));
-      faulty =
-        Some
-          (fun s ->
-            let params = eq_params s in
-            fun st env (x, y) strategy ->
-              Runtime_eq.run_faulty st env params x y strategy);
+      network = Some (staged_network eq_case Runtime_eq.run);
+      faulty = Some (staged_faulty eq_case Runtime_eq.run_faulty);
       quantum_links = true;
       conformance = true;
     }
@@ -54,6 +57,10 @@ let multi_of_ctx (ctx : Registry.demo_ctx) =
     mk
       (Array.init s.t (fun i ->
            if i = s.t - 1 then Gf2.copy ctx.y else Gf2.copy ctx.x)) )
+
+let eqt_case s (mi : Dqma.multi_instance) strategy =
+  Runtime_tree.prepare (eqt_params s) mi.Dqma.graph
+    ~terminals:mi.Dqma.terminals ~inputs:mi.Dqma.inputs strategy
 
 let eqt_entry =
   Registry.Entry
@@ -71,28 +78,17 @@ let eqt_entry =
         (fun s -> { s with r = 2; repetitions = Some (paper_reps s) });
       protocol = (fun s -> Dqma.eq_tree (eqt_params s));
       demo = multi_of_ctx;
-      network =
-        Some
-          (fun s ->
-            let params = eqt_params s in
-            fun st (mi : Dqma.multi_instance) strategy ->
-              fst
-                (Runtime_tree.run_once st params mi.Dqma.graph
-                   ~terminals:mi.Dqma.terminals ~inputs:mi.Dqma.inputs
-                   strategy));
-      faulty =
-        Some
-          (fun s ->
-            let params = eqt_params s in
-            fun st env (mi : Dqma.multi_instance) strategy ->
-              Runtime_tree.run_faulty st env params mi.Dqma.graph
-                ~terminals:mi.Dqma.terminals ~inputs:mi.Dqma.inputs strategy);
+      network = Some (staged_network eqt_case Runtime_tree.run);
+      faulty = Some (staged_faulty eqt_case Runtime_tree.run_faulty);
       quantum_links = true;
       conformance = true;
     }
 
 let gt_params (s : Registry.spec) =
   Gt.make ?repetitions:s.repetitions ~seed:s.seed ~n:s.n ~r:s.r ()
+
+let gt_case s (x, y) prover =
+  Runtime_gt.prepare (gt_params s) x y (Runtime_gt.of_prover prover)
 
 let gt_entry =
   Registry.Entry
@@ -108,19 +104,8 @@ let gt_entry =
       protocol = (fun s -> Dqma.gt (gt_params s));
       demo =
         (fun ctx -> (copy_pair ctx.big ctx.small, copy_pair ctx.small ctx.big));
-      network =
-        Some
-          (fun s ->
-            let params = gt_params s in
-            fun st (x, y) prover ->
-              fst (Runtime_gt.run_once st params x y (Runtime_gt.of_prover prover)));
-      faulty =
-        Some
-          (fun s ->
-            let params = gt_params s in
-            fun st env (x, y) prover ->
-              Runtime_gt.run_faulty st env params x y
-                (Runtime_gt.of_prover prover));
+      network = Some (staged_network gt_case Runtime_gt.run);
+      faulty = Some (staged_faulty gt_case Runtime_gt.run_faulty);
       quantum_links = true;
       conformance = true;
     }
@@ -184,11 +169,11 @@ let dma_entry =
       network =
         Some
           (fun s ->
-            fun _st (x, y) prover -> fst (Runtime_dma.run ~r:s.r x y prover));
+            fun (x, y) prover _st -> fst (Runtime_dma.run ~r:s.r x y prover));
       faulty =
         Some
           (fun s ->
-            fun st env (x, y) prover ->
+            fun (x, y) prover st env ->
               Runtime_dma.run_faulty st env ~r:s.r x y prover);
       quantum_links = false;
       conformance = true;
@@ -214,12 +199,12 @@ let rpls_entry =
         Some
           (fun s ->
             let params = rpls_params s in
-            fun st (x, y) prover -> fst (Rpls.run_once st params x y prover));
+            fun (x, y) prover st -> fst (Rpls.run_once st params x y prover));
       faulty =
         Some
           (fun s ->
             let params = rpls_params s in
-            fun st env (x, y) prover ->
+            fun (x, y) prover st env ->
               Rpls.run_faulty st env params x y prover);
       quantum_links = false;
       conformance = true;
@@ -243,6 +228,9 @@ let ieq_params turns (s : Registry.spec) =
    — that exercises the probabilistic branch of cross-validation and
    gives the fault sweep's contractivity gate its genuine
    noiseless-soundness slack. *)
+let ieq_case turns s (x, y) prover =
+  Runtime_ieq.prepare (ieq_params turns s) x y prover
+
 let ieq_demo params ctx =
   let x, y = Ieq.adversarial_pair params ctx.Registry.x in
   (copy_pair x x, (x, y))
@@ -278,18 +266,8 @@ let ieq_entry turns =
       demo_fix = Fun.id;
       protocol = (fun s -> Dqma.ieq (ieq_params turns s));
       demo = (fun ctx -> ieq_demo (ieq_params turns ctx.demo_spec) ctx);
-      network =
-        Some
-          (fun s ->
-            let params = ieq_params turns s in
-            fun st (x, y) prover ->
-              fst (Runtime_ieq.run_once st params x y prover));
-      faulty =
-        Some
-          (fun s ->
-            let params = ieq_params turns s in
-            fun st env (x, y) prover ->
-              Runtime_ieq.run_faulty st env params x y prover);
+      network = Some (staged_network (ieq_case turns) Runtime_ieq.run);
+      faulty = Some (staged_faulty (ieq_case turns) Runtime_ieq.run_faulty);
       quantum_links = false;
       conformance = false;
     }

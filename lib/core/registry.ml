@@ -165,7 +165,7 @@ let fault_suite spec (Entry e) =
             {
               fc_strategy = name;
               fc_analytic = p.Dqma.accept inst prover;
-              fc_run = (fun st env -> run st env inst prover);
+              fc_run = run inst prover;
             })
           provers
       in

@@ -76,7 +76,11 @@ val context_of : ?x:Gf2.t -> ?y:Gf2.t -> spec -> demo_ctx
     ({!Dqma.cross_validate}) checks the analytic path against;
     [faulty], when present, is the same realization run under a fault
     environment (the [fault_tolerant] capability — `qdp faults` sweeps
-    every entry that has one); [quantum_links] records whether the
+    every entry that has one).  Both are staged ({!Dqma.network},
+    {!Dqma.faulty_network}): applied to an instance and a prover they
+    prepare the case once — a pure function of its inputs — and return
+    the per-run closure, which only reads what was prepared.
+    [quantum_links] records whether the
     realization forwards quantum registers (so the fault sweep knows
     whether channel noise or classical bit flips apply);
     [conformance] admits the entry into {!demo_suite}. *)
@@ -160,7 +164,11 @@ val cross_validate_demo :
     fault environment.  [fc_analytic] is the exact noiseless
     single-repetition acceptance — the baseline both invariants
     (soundness contractivity, completeness decay) are measured
-    against. *)
+    against.  [fc_run] is the entry's [faulty] realization applied to
+    the instance and prover, so the case is prepared once, when the
+    suite is built; every grid point, trial and domain then shares
+    it, and each call equals a fresh prepare-and-run from the same
+    states. *)
 type fault_case = {
   fc_strategy : string;
   fc_analytic : float;

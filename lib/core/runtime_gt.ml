@@ -14,111 +14,112 @@ let of_prover (p : Gt.prover) =
 
 type message = { idx : int; reg : Vec.t }
 
-type node_state = {
-  role : [ `Left | `Middle | `Right ];
-  my_index : int;
-  kept : Vec.t option;
-  outgoing : Vec.t option;
-  mutable verdict : Runtime.verdict;
+type prepared = {
+  r : int;
+  g : Graph.t;
+  regs : message array;
+      (** node [j]'s claimed index with its register: the prefix
+          fingerprint [|h_x>] at [v_0] (forwarded), [|h_y>] at [v_r]
+          (kept), the prover's chain state in between (both) *)
+  left_ok : bool;  (** v_0's classical check: x_i = 1 *)
+  right_ok : bool;  (** v_r's classical check: y_i = 0 *)
 }
 
-let run_with ?faults st (params : Gt.params) x y prover =
+let prepare (params : Gt.params) x y prover =
   let r = params.Gt.r in
-  let g = Graph.path r in
-  (* per-node chain states built from that node's claimed index *)
-  let chain_state j i =
-    let hx, hy = Gt.prefix_states params i x y in
-    Strategy.node_state ~r ~left:hx ~right:hy prover.chain j
+  let index = Array.init (r + 1) prover.node_index in
+  (* the prefix fingerprints, encoded once per distinct claimed index *)
+  let prefix = Hashtbl.create 4 in
+  let prefix_states i =
+    match Hashtbl.find_opt prefix i with
+    | Some s -> s
+    | None ->
+        let s = Gt.prefix_states params i x y in
+        Hashtbl.add prefix i s;
+        s
   in
+  let reg j =
+    let hx, hy = prefix_states index.(j) in
+    if j = 0 then hx
+    else if j = r then hy
+    else Strategy.node_state ~r ~left:hx ~right:hy prover.chain j
+  in
+  let valid i = i >= 0 && i < params.Gt.n in
+  {
+    r;
+    g = Graph.path r;
+    regs = Array.init (r + 1) (fun j -> { idx = index.(j); reg = reg j });
+    left_ok = valid index.(0) && Gf2.get x index.(0);
+    right_ok = valid index.(r) && not (Gf2.get y index.(r));
+  }
+
+type node_state = { own : message; mutable verdict : Runtime.verdict }
+
+let run_with ?faults st prep =
+  let r = prep.r in
   let program =
     {
       Runtime.init =
         (fun id ->
-          let i = prover.node_index id in
-          if id = 0 then begin
-            (* v_0's classical check: x_i must be 1 *)
-            let ok = i >= 0 && i < params.Gt.n && Gf2.get x i in
-            let hx, _ = Gt.prefix_states params i x y in
-            {
-              role = `Left;
-              my_index = i;
-              kept = None;
-              outgoing = Some hx;
-              verdict = (if ok then Accept else Reject);
-            }
-          end
-          else if id = r then begin
-            (* v_r's classical check: y_i must be 0 *)
-            let ok = i >= 0 && i < params.Gt.n && not (Gf2.get y i) in
-            let _, hy = Gt.prefix_states params i x y in
-            {
-              role = `Right;
-              my_index = i;
-              kept = Some hy;
-              outgoing = None;
-              verdict = (if ok then Accept else Reject);
-            }
-          end
+          let own = prep.regs.(id) in
+          if id = 0 then
+            { own; verdict = (if prep.left_ok then Accept else Reject) }
+          else if id = r then
+            { own; verdict = (if prep.right_ok then Accept else Reject) }
           else begin
-            let s = chain_state id i in
-            let a, b = (Vec.copy s, Vec.copy s) in
-            let kept, out = if Random.State.bool st then (a, b) else (b, a) in
-            {
-              role = `Middle;
-              my_index = i;
-              kept = Some kept;
-              outgoing = Some out;
-              verdict = Accept;
-            }
+            (* the symmetrization coin: both halves are the same
+               register, but the coin is still drawn so the sampled
+               verdicts keep their stream position *)
+            ignore (Random.State.bool st);
+            { own; verdict = Accept }
           end);
       round =
         (fun ~round ~id state ~inbox ->
           match round with
-          | 1 -> (
-              match state.outgoing with
-              | Some reg when id < r ->
-                  (state, [ (id + 1, { idx = state.my_index; reg }) ])
-              | _ -> (state, []))
+          | 1 ->
+              if id < r then (state, [ (id + 1, state.own) ]) else (state, [])
           | 2 -> (
-              match (state.role, inbox) with
-              | (`Middle | `Right), [ (_, msg) ] ->
-                  if msg.idx <> state.my_index then begin
-                    (* Algorithm 7's neighbour index comparison *)
-                    state.verdict <- Runtime.Reject;
-                    (state, [])
-                  end
-                  else begin
-                    let own =
-                      match state.kept with Some k -> k | None -> assert false
-                    in
-                    let p = Sim.swap_accept [| msg.reg |] [| own |] in
-                    if Random.State.float st 1. > p then
+              if id = 0 then (state, [])
+              else
+                match inbox with
+                | [ (_, msg) ] ->
+                    if msg.idx <> state.own.idx then begin
+                      (* Algorithm 7's neighbour index comparison *)
                       state.verdict <- Runtime.Reject;
-                    (state, [])
-                  end
-              | `Left, _ -> (state, [])
-              | _ ->
-                  state.verdict <- Runtime.Reject;
-                  (state, []))
+                      (state, [])
+                    end
+                    else begin
+                      let p =
+                        Sim.swap_accept [| msg.reg |] [| state.own.reg |]
+                      in
+                      if Random.State.float st 1. > p then
+                        state.verdict <- Runtime.Reject;
+                      (state, [])
+                    end
+                | _ ->
+                    state.verdict <- Runtime.Reject;
+                    (state, []))
           | _ -> (state, []));
       finish = (fun ~id:_ state -> state.verdict);
     }
   in
-  Runtime.run ?faults g ~rounds:2 program
+  Runtime.run ?faults prep.g ~rounds:2 program
 
-let run_once st (params : Gt.params) x y prover =
-  let verdicts, stats = run_with st params x y prover in
+let run st prep =
+  let verdicts, stats = run_with st prep in
   (Runtime.global_verdict verdicts = Runtime.Accept, stats)
+
+let run_once st params x y prover = run st (prepare params x y prover)
 
 (* Messages pair a classical index header with a quantum register; the
    environment's register noise corrupts the register and leaves the
    header intact (header corruption is a classical fault the index
    comparison already catches deterministically). *)
-let run_faulty st (env : Fault_env.t) params x y prover =
+let run_faulty st (env : Fault_env.t) prep =
   let corrupt st m = { m with reg = Fault_env.apply_qnoise env st m.reg } in
   let faults = Fault_env.injector ~corrupt env in
-  run_with ~faults st params x y prover
+  run_with ~faults st prep
 
 let estimate_acceptance st ~trials params x y prover =
-  Runtime.estimate_acceptance ~st ~trials (fun st ->
-      fst (run_once st params x y prover))
+  let prep = prepare params x y prover in
+  Runtime.estimate_acceptance ~st ~trials (fun st -> fst (run st prep))

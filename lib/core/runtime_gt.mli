@@ -29,28 +29,45 @@ val honest : Gf2.t -> Gf2.t -> prover
     runs both backends through. *)
 val of_prover : Gt.prover -> prover
 
-(** [run_once st params x y prover] executes one repetition; returns
-    the global verdict and traffic stats.  Nodes check their claimed
-    index against the one arriving from the left and reject on
-    mismatch before any quantum test. *)
-val run_once :
-  Random.State.t -> Gt.params -> Gf2.t -> Gf2.t -> prover -> bool * Runtime.stats
+(** A prepared case: every node's claimed index with its register
+    (the prefix fingerprints at the ends, the prover's chain states in
+    between), the endpoints' classical checks and the path graph.
+    Prefix fingerprints are encoded once per distinct claimed index,
+    not once per node.  Runs only read it. *)
+type prepared
 
-(** [run_faulty st env params x y prover] executes one repetition under
-    the fault environment; register noise corrupts the forwarded prefix
+(** [prepare params x y prover] builds the case.  Pure: it draws no
+    randomness. *)
+val prepare : Gt.params -> Gf2.t -> Gf2.t -> prover -> prepared
+
+(** [run st prepared] executes one repetition; returns the global
+    verdict and traffic stats.  Nodes check their claimed index against
+    the one arriving from the left and reject on mismatch before any
+    quantum test. *)
+val run : Random.State.t -> prepared -> bool * Runtime.stats
+
+(** [run_faulty st env prepared] executes one repetition under the
+    fault environment; register noise corrupts the forwarded prefix
     fingerprints (the classical index header is left to the
     deterministic neighbour comparison).  Returns raw per-node verdicts
     for the fault layer's recovery semantics. *)
 val run_faulty :
   Random.State.t ->
   Fault_env.t ->
+  prepared ->
+  Runtime.verdict array * Runtime.stats
+
+(** [run_once st params x y prover] is [run st (prepare params x y prover)]. *)
+val run_once :
+  Random.State.t ->
   Gt.params ->
   Gf2.t ->
   Gf2.t ->
   prover ->
-  Runtime.verdict array * Runtime.stats
+  bool * Runtime.stats
 
 (** [estimate_acceptance st ~trials params x y prover] is the
-    empirical acceptance frequency. *)
+    empirical acceptance frequency over [trials] runs of one prepared
+    case. *)
 val estimate_acceptance :
   Random.State.t -> trials:int -> Gt.params -> Gf2.t -> Gf2.t -> prover -> float

@@ -1,3 +1,4 @@
+open Qdp_codes
 open Qdp_network
 
 type msg =
@@ -35,26 +36,56 @@ let schedule (p : Ieq.params) ~q =
 (* Schedule entry that deals the coins each variant's decision reads. *)
 let coin_turn (p : Ieq.params) = match p.Ieq.turns with 2 -> 1 | _ -> 2
 
-let prover_writes (p : Ieq.params) ~q x y prover ~turn transcript =
+type prepared = {
+  p : Ieq.params;
+  q : int;
+  g : Graph.t;
+  schedule : Runtime.Turn.t list;
+  x : Gf2.t;
+  y : Gf2.t;
+  tx : int array;  (** [Ieq.table ~q x]: v_0's anchors *)
+  ty : int array;  (** [Ieq.table ~q y]: v_r's anchors *)
+  node_tables : int array array;
+      (** the evaluation table node [i]'s answers derive from *)
+  commits : (int * msg) list;  (** the 3-turn commit writes *)
+  tables : (int * msg) list;  (** the 1-turn certificate writes *)
+}
+
+let prepare (p : Ieq.params) x y prover =
+  Ieq.validate p;
+  let q = Ieq.field p in
+  let tx = Ieq.table ~q x and ty = Ieq.table ~q y in
   let nodes = List.init (p.Ieq.r + 1) Fun.id in
-  match (p.Ieq.turns, turn) with
-  | 3, 1 ->
+  let node_tables = Array.init (p.Ieq.r + 1) (Ieq.source p tx ty prover) in
+  {
+    p;
+    q;
+    g = Graph.path p.Ieq.r;
+    schedule = schedule p ~q;
+    x;
+    y;
+    tx;
+    ty;
+    node_tables;
+    commits =
       List.map
         (fun i -> (i, Commit (Ieq.parity (Ieq.source p x y prover i))))
-        nodes
+        nodes;
+    tables = List.map (fun i -> (i, Table node_tables.(i))) nodes;
+  }
+
+let prover_writes prep ~turn transcript =
+  match (prep.p.Ieq.turns, turn) with
+  | 3, 1 -> prep.commits
   | 3, 3 | 2, 2 ->
       (* public-coin model: the challenge is v_0's coin, revealed to
          the prover through the transcript *)
       let alpha =
-        (Runtime.Transcript.coins transcript ~turn:(coin_turn p)).(0)
+        (Runtime.Transcript.coins transcript ~turn:(coin_turn prep.p)).(0)
       in
-      List.map
-        (fun i -> (i, Answer (Ieq.respond p ~q x y prover ~alpha i)))
-        nodes
-  | 1, 1 ->
-      List.map
-        (fun i -> (i, Table (Ieq.table ~q (Ieq.source p x y prover i))))
-        nodes
+      List.init (prep.p.Ieq.r + 1) (fun i ->
+          (i, Answer (Ieq.respond prep.node_tables.(i) ~alpha)))
+  | 1, 1 -> prep.tables
   | _ -> []
 
 (* Verification exchange of the 2/3-turn variants: announce the
@@ -112,7 +143,8 @@ let probe_round (p : Ieq.params) ~round ~coin ~id state ~inbox =
       (state, [])
   | _ -> (state, [])
 
-let finish (p : Ieq.params) ~q x y ~transcript ~id state =
+let finish prep ~transcript ~id state =
+  let p = prep.p in
   let r = p.Ieq.r in
   if state.verdict = Runtime.Reject then Runtime.Reject
   else
@@ -120,12 +152,12 @@ let finish (p : Ieq.params) ~q x y ~transcript ~id state =
       if p.Ieq.turns = 1 then
         if id = 0 then
           match state.tbl with
-          | Some t -> Ieq.table_ok_left ~q x t
+          | Some t -> Ieq.table_ok_left prep.tx t
           | None -> false
         else if id = r then
           let beta = (Runtime.Transcript.coins transcript ~turn:2).(id) in
           match state.tbl with
-          | Some t -> Ieq.table_ok_right ~q y t ~coin:beta
+          | Some t -> Ieq.table_ok_right prep.ty t ~coin:beta
           | None -> false
         else state.tbl <> None
       else
@@ -134,8 +166,8 @@ let finish (p : Ieq.params) ~q x y ~transcript ~id state =
           ||
           match state.commit with
           | Some b ->
-              if id = 0 then Ieq.commit_ok_left x b
-              else if id = r then Ieq.commit_ok_right y b
+              if id = 0 then Ieq.commit_ok_left prep.x b
+              else if id = r then Ieq.commit_ok_right prep.y b
               else true
           | None -> false
         in
@@ -146,8 +178,8 @@ let finish (p : Ieq.params) ~q x y ~transcript ~id state =
                 let coin =
                   (Runtime.Transcript.coins transcript ~turn:(coin_turn p)).(0)
                 in
-                Ieq.answer_ok_left ~q x ~coin a
-              else if id = r then Ieq.answer_ok_right ~q y a
+                Ieq.answer_ok_left prep.tx ~coin a
+              else if id = r then Ieq.answer_ok_right prep.ty a
               else true
           | None -> false
         in
@@ -155,7 +187,7 @@ let finish (p : Ieq.params) ~q x y ~transcript ~id state =
     in
     if ok then Runtime.Accept else Runtime.Reject
 
-let program (p : Ieq.params) ~q g x y =
+let program prep =
   {
     Runtime.tp_init =
       (fun id ->
@@ -171,25 +203,22 @@ let program (p : Ieq.params) ~q g x y =
         state);
     tp_round =
       (fun ~turn:_ ~round ~coin ~id state ~inbox ->
-        if p.Ieq.turns = 1 then probe_round p ~round ~coin ~id state ~inbox
-        else chain_round p g ~round ~id state ~inbox);
-    tp_finish = (fun ~transcript ~id state -> finish p ~q x y ~transcript ~id state);
+        if prep.p.Ieq.turns = 1 then
+          probe_round prep.p ~round ~coin ~id state ~inbox
+        else chain_round prep.p prep.g ~round ~id state ~inbox);
+    tp_finish =
+      (fun ~transcript ~id state -> finish prep ~transcript ~id state);
   }
 
-let run_with ?faults st (p : Ieq.params) x y prover =
-  Ieq.validate p;
-  let q = Ieq.field p in
-  let g = Graph.path p.Ieq.r in
+let run_with ?faults st prep =
   let verdicts, stats, _transcript =
-    Runtime.run_turns ?faults ~st g ~schedule:(schedule p ~q)
-      ~prover:(fun ~turn transcript ->
-        prover_writes p ~q x y prover ~turn transcript)
-      (program p ~q g x y)
+    Runtime.run_turns ?faults ~st prep.g ~schedule:prep.schedule
+      ~prover:(prover_writes prep) (program prep)
   in
   (verdicts, stats)
 
-let run_once st p x y prover =
-  let verdicts, stats = run_with st p x y prover in
+let run st prep =
+  let verdicts, stats = run_with st prep in
   (Runtime.global_verdict verdicts = Runtime.Accept, stats)
 
 (* Classical payloads: corruption perturbs one field element by +1
@@ -212,7 +241,6 @@ let corrupt ~q st m =
   | Check { b; ans = None } -> Check { b = Option.map not b; ans = None }
   | Probe { beta; value } -> Probe { beta; value = bump value }
 
-let run_faulty st (env : Fault_env.t) p x y prover =
-  let q = Ieq.field p in
-  let faults = Fault_env.injector ~corrupt:(corrupt ~q) env in
-  run_with ~faults st p x y prover
+let run_faulty st (env : Fault_env.t) prep =
+  let faults = Fault_env.injector ~corrupt:(corrupt ~q:prep.q) env in
+  run_with ~faults st prep

@@ -46,34 +46,27 @@ type msg =
     [params.turns]. *)
 val schedule : Ieq.params -> q:int -> Runtime.Turn.t list
 
-(** [run_with ?faults st params x y prover] executes one interaction
-    on [Graph.path params.r].  [st] supplies the verifier's coins. *)
-val run_with :
-  ?faults:msg Fault.t ->
-  Random.State.t ->
-  Ieq.params ->
-  Gf2.t ->
-  Gf2.t ->
-  Ieq.prover ->
-  Runtime.verdict array * Runtime.stats
+(** A prepared case: the field, the turn schedule, the path graph, the
+    evaluation tables of [x] and [y] (the endpoints' anchors, and the
+    1-turn certificates and 2/3-turn answers of every node) and the
+    3-turn commits — all that depends only on the parameters, the
+    inputs and the prover.  Runs only read it. *)
+type prepared
 
-(** [run_once st params x y prover] is [run_with] reduced to the
-    global verdict. *)
-val run_once :
-  Random.State.t ->
-  Ieq.params ->
-  Gf2.t ->
-  Gf2.t ->
-  Ieq.prover ->
-  bool * Runtime.stats
+(** [prepare params x y prover] builds the case.  Pure: it draws no
+    randomness.
+    @raise Invalid_argument on invalid [params] ({!Ieq.validate}). *)
+val prepare : Ieq.params -> Gf2.t -> Gf2.t -> Ieq.prover -> prepared
 
-(** [run_faulty st env params x y prover] runs under a fault
-    environment, corruption instantiated at this payload type. *)
+(** [run st prepared] executes one interaction on
+    [Graph.path params.r] and reduces it to the global verdict.  [st]
+    supplies the verifier's coins. *)
+val run : Random.State.t -> prepared -> bool * Runtime.stats
+
+(** [run_faulty st env prepared] runs under a fault environment,
+    corruption instantiated at this payload type. *)
 val run_faulty :
   Random.State.t ->
   Fault_env.t ->
-  Ieq.params ->
-  Gf2.t ->
-  Gf2.t ->
-  Ieq.prover ->
+  prepared ->
   Runtime.verdict array * Runtime.stats

@@ -2,66 +2,83 @@ open Qdp_linalg
 open Qdp_fingerprint
 open Qdp_network
 
-type node_state = {
-  outgoing : Vec.t option;  (** register forwarded to the parent *)
-  kept : Vec.t option;  (** register used in the local test, if any *)
-  mutable verdict : Runtime.verdict;
+type prepared = {
+  tr : Spanning_tree.t;
+  tree_g : Graph.t;  (** the spanning tree materialized as its own network *)
+  child_count : int array;
+  use_permutation_test : bool;
+  outgoing : Vec.t option array;  (** register node [v] sends its parent *)
+  kept : Vec.t option array;  (** register node [v] tests against, if any *)
 }
 
-let run_with ?faults st params g ~terminals ~inputs strategy =
+let prepare params g ~terminals ~inputs strategy =
   let fp =
     Fingerprint.standard ~seed:params.Eq_tree.seed ~n:params.Eq_tree.n
   in
   let states = Array.map (Fingerprint.state fp) inputs in
   let tr = Eq_tree.tree_of g ~terminals in
   let height = max 1 (Spanning_tree.height tr) in
-  let internal_state v =
+  let internal_state =
     match strategy with
-    | Eq_tree.Honest -> states.(0)
-    | Eq_tree.Constant z -> Fingerprint.state fp z
+    | Eq_tree.Honest -> fun _ -> states.(0)
+    | Eq_tree.Constant z ->
+        let s = Fingerprint.state fp z in
+        fun _ -> s
     | Eq_tree.Depth_interpolate target ->
-        States.geodesic states.(0) states.(target)
-          (float_of_int (Spanning_tree.depth tr v) /. float_of_int height)
+        fun v ->
+          States.geodesic states.(0) states.(target)
+            (float_of_int (Spanning_tree.depth tr v) /. float_of_int height)
   in
-  (* materialize the tree as its own network *)
   let size = Spanning_tree.size tr in
   let tree_g = Graph.create size in
+  let child_count = Array.make size 0 in
   for v = 0 to size - 1 do
     match Spanning_tree.parent tr v with
-    | Some p -> Graph.add_edge tree_g v p
+    | Some p ->
+        Graph.add_edge tree_g v p;
+        child_count.(p) <- child_count.(p) + 1
     | None -> ()
   done;
   let root = Spanning_tree.root tr in
-  let child_count =
-    let c = Array.make size 0 in
-    for v = 0 to size - 1 do
-      match Spanning_tree.parent tr v with
-      | Some p -> c.(p) <- c.(p) + 1
-      | None -> ()
-    done;
-    c
+  (* terminal leaves send their own fingerprint and test nothing; the
+     root terminal tests its own fingerprint; every other node forwards
+     and tests the prover's register *)
+  let regs v =
+    match Spanning_tree.terminal_of tr v with
+    | Some i when v <> root -> (Some states.(i), None)
+    | Some _ -> (None, Some states.(0))
+    | None ->
+        let s = internal_state v in
+        (Some s, Some s)
   in
+  let both = Array.init size regs in
+  {
+    tr;
+    tree_g;
+    child_count;
+    use_permutation_test = params.Eq_tree.use_permutation_test;
+    outgoing = Array.map fst both;
+    kept = Array.map snd both;
+  }
+
+type node_state = { mutable verdict : Runtime.verdict }
+
+let run_with ?faults st prep =
   let program =
     {
       Runtime.init =
         (fun v ->
-          match Spanning_tree.terminal_of tr v with
-          | Some i when v <> root ->
-              (* terminal leaf: sends its own fingerprint, tests nothing *)
-              { outgoing = Some states.(i); kept = None; verdict = Accept }
-          | Some _ ->
-              (* the root terminal tests its own fingerprint *)
-              { outgoing = None; kept = Some states.(0); verdict = Accept }
-          | None ->
-              let s = internal_state v in
-              let a, b = (Vec.copy s, Vec.copy s) in
-              let kept, out = if Random.State.bool st then (a, b) else (b, a) in
-              { outgoing = Some out; kept = Some kept; verdict = Accept });
+          if Spanning_tree.terminal_of prep.tr v = None then
+            (* the symmetrization coin of the prover's pair: both halves
+               are the same register, but the coin is still drawn so the
+               sampled verdicts keep their stream position *)
+            ignore (Random.State.bool st);
+          { verdict = Accept });
       round =
         (fun ~round ~id state ~inbox ->
           match round with
           | 1 -> (
-              match (state.outgoing, Spanning_tree.parent tr id) with
+              match (prep.outgoing.(id), Spanning_tree.parent prep.tr id) with
               | Some reg, Some p -> (state, [ (p, reg) ])
               | _ -> (state, []))
           | 2 ->
@@ -69,13 +86,13 @@ let run_with ?faults st params g ~terminals ~inputs strategy =
               let senders =
                 List.length (List.sort_uniq compare (List.map fst inbox))
               in
-              if senders < child_count.(id) then
+              if senders < prep.child_count.(id) then
                 state.verdict <- Runtime.Reject;
-              (match (state.kept, inbox) with
+              (match (prep.kept.(id), inbox) with
               | Some own, _ :: _ ->
                   let sents = List.map (fun (_, reg) -> [| reg |]) inbox in
                   let p =
-                    if params.Eq_tree.use_permutation_test then
+                    if prep.use_permutation_test then
                       Sim.perm_accept ([| own |] :: sents)
                     else begin
                       (* FGNP21 ablation: uniformly random child *)
@@ -92,17 +109,20 @@ let run_with ?faults st params g ~terminals ~inputs strategy =
       finish = (fun ~id:_ state -> state.verdict);
     }
   in
-  Runtime.run ?faults tree_g ~rounds:2 program
+  Runtime.run ?faults prep.tree_g ~rounds:2 program
 
-let run_once st params g ~terminals ~inputs strategy =
-  let verdicts, stats = run_with st params g ~terminals ~inputs strategy in
+let run st prep =
+  let verdicts, stats = run_with st prep in
   (Runtime.global_verdict verdicts = Runtime.Accept, stats)
 
+let run_once st params g ~terminals ~inputs strategy =
+  run st (prepare params g ~terminals ~inputs strategy)
+
 (* Payloads are bare fingerprint registers, as in the path backend. *)
-let run_faulty st (env : Fault_env.t) params g ~terminals ~inputs strategy =
+let run_faulty st (env : Fault_env.t) prep =
   let faults = Fault_env.injector ~corrupt:(Fault_env.apply_qnoise env) env in
-  run_with ~faults st params g ~terminals ~inputs strategy
+  run_with ~faults st prep
 
 let estimate_acceptance st ~trials params g ~terminals ~inputs strategy =
-  Runtime.estimate_acceptance ~st ~trials (fun st ->
-      fst (run_once st params g ~terminals ~inputs strategy))
+  let prep = prepare params g ~terminals ~inputs strategy in
+  Runtime.estimate_acceptance ~st ~trials (fun st -> fst (run st prep))

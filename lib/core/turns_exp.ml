@@ -23,14 +23,15 @@ type t = {
   tx_rows : row list;
 }
 
-(* One Monte-Carlo cell: its RNG reseeds from stable indices, and
-   [estimate_acceptance] chunks deterministically on the pool, so every
-   cell — hence the whole artifact — is byte-identical at any --jobs
-   value and independent of cell evaluation order. *)
+(* One Monte-Carlo cell, prepared once: its RNG reseeds from stable
+   indices, and [estimate_acceptance] chunks deterministically on the
+   pool, so every cell — hence the whole artifact — is byte-identical
+   at any --jobs value and independent of cell evaluation order. *)
 let sample ~seed ~turns ~side ~trials params x y prover =
   let st = Random.State.make [| seed; 0x7a15; turns; side |] in
+  let prep = Runtime_ieq.prepare params x y prover in
   Runtime.estimate_acceptance ~st ~trials (fun st ->
-      fst (Runtime_ieq.run_once st params x y prover))
+      fst (Runtime_ieq.run st prep))
 
 let measure_variant ~seed ~n ~r ~trials turns =
   Qdp_obs.Prof.section (Printf.sprintf "turns.ieq%d" turns) @@ fun () ->

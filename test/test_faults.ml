@@ -244,6 +244,115 @@ let test_fault_plan_deterministic () =
   Alcotest.(check bool) "verdicts identical" true (v1 = v2);
   Alcotest.(check bool) "stats identical" true (s1 = s2)
 
+(* --- prepared cases are reusable --- *)
+
+(* A suite's [fc_run] is prepared once and then shared by every trial,
+   grid point and domain, so a run must neither write into the
+   prepared registers (faults and noise build new payloads) nor leave
+   anything behind for the next run.  Every case of every fault-aware
+   entry runs [reuse_runs] times from one prepared value, interleaved
+   with a neighbouring case, and must equal a fresh prepare-and-run
+   from the same seeds — verdicts, stats and the injected-event tally
+   alike — under a payload-corrupting kind and under duplication. *)
+let reuse_runs = 4
+
+let run_seeded (case : Registry.fault_case) kind k =
+  let env =
+    Plan.env kind ~strength:0.5 ~st:(Random.State.make [| 77; k; 1 |])
+  in
+  case.Registry.fc_run (Random.State.make [| 77; k |]) env
+
+let injected (_, stats) =
+  Option.fold ~none:0 ~some:Fault.total_injected stats.Runtime.faults
+
+let test_prepared_reuse () =
+  let entries =
+    List.filter_map
+      (fun e ->
+        Option.map (fun s -> (e, s)) (Registry.fault_suite small_spec e))
+      (Registry.all ())
+  in
+  Alcotest.(check bool) "fault-aware entries exist" true (entries <> []);
+  List.iter
+    (fun (entry, (suite : Registry.fault_suite)) ->
+      let cases_of (s : Registry.fault_suite) =
+        Array.of_list (s.Registry.fs_yes @ s.Registry.fs_no)
+      in
+      let cases = cases_of suite in
+      let kinds =
+        if suite.Registry.fs_quantum_links then
+          [ Plan.Depolarize; Plan.Duplicate ]
+        else [ Plan.Flip; Plan.Duplicate ]
+      in
+      List.iter
+        (fun kind ->
+          let total = ref 0 in
+          Array.iteri
+            (fun ci case ->
+              let other = cases.((ci + 1) mod Array.length cases) in
+              let reused =
+                List.init reuse_runs (fun k ->
+                    let v = run_seeded case kind k in
+                    ignore (run_seeded other kind (k + reuse_runs));
+                    v)
+              in
+              let fresh =
+                List.init reuse_runs (fun k ->
+                    match Registry.fault_suite small_spec entry with
+                    | Some s -> run_seeded (cases_of s).(ci) kind k
+                    | None -> Alcotest.fail "fault suite vanished")
+              in
+              List.iter (fun v -> total := !total + injected v) reused;
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s/%s/%s injected" suite.Registry.fs_id
+                   case.Registry.fc_strategy (Plan.name kind))
+                (List.map injected fresh) (List.map injected reused);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s/%s verdicts and stats"
+                   suite.Registry.fs_id case.Registry.fc_strategy
+                   (Plan.name kind))
+                true (reused = fresh))
+            cases;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s injects faults" suite.Registry.fs_id
+               (Plan.name kind))
+            true (!total > 0))
+        kinds)
+    entries
+
+(* Cross-validation prepares each strategy's case on whichever domain
+   samples it; the check list must not depend on how many there are. *)
+let test_xval_jobs_invariant () =
+  let digest jobs =
+    Qdp_par.set_jobs jobs;
+    let st = Random.State.make [| 5 |] in
+    let buf = Buffer.create 4096 in
+    List.iter
+      (fun e ->
+        match Registry.cross_validate_demo ~trials:60 ~st small_spec e with
+        | None -> ()
+        | Some sides ->
+            List.iter
+              (fun (side, checks) ->
+                List.iter
+                  (fun (c : Dqma.check) ->
+                    Printf.bprintf buf "%s %s %h %h %b\n" side
+                      c.Dqma.check_strategy c.Dqma.analytic c.Dqma.sampled
+                      c.Dqma.agree)
+                  checks)
+              sides)
+      (Registry.all ());
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
+  let jobs0 = Qdp_par.jobs () in
+  Qdp_par.set_oversubscribe true;
+  Fun.protect
+    ~finally:(fun () ->
+      Qdp_par.set_oversubscribe false;
+      Qdp_par.set_jobs jobs0)
+    (fun () ->
+      Alcotest.(check string) "jobs 1 vs 4" (digest 1) (digest 4))
+
 (* --- the sweep invariants as properties --- *)
 
 (* Soundness contractivity (Fact 4): no fault kind at any strength may
@@ -375,6 +484,10 @@ let () =
             test_sweep_deterministic;
           Alcotest.test_case "faulty run reproducible" `Quick
             test_fault_plan_deterministic;
+          Alcotest.test_case "prepared case reusable" `Quick
+            test_prepared_reuse;
+          Alcotest.test_case "cross-validation jobs-invariant" `Quick
+            test_xval_jobs_invariant;
         ] );
       ( "invariants",
         qcheck
