@@ -4,7 +4,8 @@
    the wall-clock cost of every experiment in EXPERIMENTS.md is
    tracked here.  Running with the single argument [perf] skips the
    bechamel pass and only emits BENCH_perf.json, the sequential-vs-
-   parallel comparison used by CI. *)
+   parallel comparison used by CI; [obs] only emits BENCH_obs.json;
+   [dist] only emits BENCH_dist.json. *)
 
 open Bechamel
 open Toolkit
@@ -415,18 +416,6 @@ let perf_monte_carlo =
         ignore (Registry.cross_validate_demo ~trials:160 ~st:st' spec entry))
       entries
 
-let perf_mat_mul =
-  let open Qdp_linalg in
-  let stm = Random.State.make [| 0x31 |] in
-  let rand _ _ =
-    Cx.make
-      (Random.State.float stm 2. -. 1.)
-      (Random.State.float stm 2. -. 1.)
-  in
-  let a = Mat.init 192 192 rand in
-  let b = Mat.init 192 192 rand in
-  fun () -> ignore (Mat.mul a b)
-
 let bench_par =
   Test.make_grouped ~name:"par"
     [
@@ -434,7 +423,6 @@ let bench_par =
         (Staged.stage perf_attack_search);
       Test.make ~name:"fault_sweep_eq_rpls" (Staged.stage perf_fault_sweep);
       Test.make ~name:"xval_eq_gt_t160" (Staged.stage perf_monte_carlo);
-      Test.make ~name:"mat_mul_192" (Staged.stage perf_mat_mul);
     ]
 
 let tests =
@@ -564,8 +552,6 @@ let dump_perf () =
       ("attack_search", 10, perf_attack_search);
       ("fault_sweep", 1, perf_fault_sweep);
       ("monte_carlo_xval", 1, perf_monte_carlo);
-      ("mat_mul", 16, perf_mat_mul);
-      ("gram_batch", 4, perf_gram_attack);
     ]
   in
   let time_at jobs reps work =
@@ -590,8 +576,7 @@ let dump_perf () =
   (* Kernel A/B: both columns sequential (jobs = 1), so the speedup is
      purely the batched rewrite (blocked Gram, fused projections,
      blit-based register moves) against the pre-change per-proof
-     kernel — the parallel win on top of it is the gram_batch group
-     above. *)
+     kernel. *)
   let kernels =
     let batched = time_at 1 1 perf_gram_attack in
     let naive =
@@ -797,6 +782,11 @@ let () =
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "perf" then (
     dump_perf ();
+    exit 0)
+
+let () =
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = "obs" then (
+    dump_obs ();
     exit 0)
 
 let () =

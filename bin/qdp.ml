@@ -114,19 +114,6 @@ let chaos_arg =
            with probability $(docv), at points seeded by \
            $(b,QDP_CHAOS_SEED) — results must stay byte-identical.")
 
-let model_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "model" ] ~docv:"MODE"
-        ~doc:
-          "Kernel cost model driving seq/par dispatch (default: \
-           $(b,QDP_MODEL) or $(b,off)).  $(b,off) = static MAC cutoffs; \
-           $(b,auto) = run the startup self-benchmark and install its fits; \
-           any other value = load a recorded BENCH_calib.json history from \
-           that path.  The model only picks which bit-identical path runs, \
-           so results never depend on it.")
-
 let progress_json_arg =
   Arg.(
     value & flag
@@ -148,12 +135,11 @@ type obs_opts = {
   calib : string option;
   progress : float option;
   progress_json : bool;
-  model : string option;
 }
 
 let obs_term =
   let mk jobs workers timeout chaos metrics trace profile calib progress
-      progress_json model =
+      progress_json =
     {
       jobs;
       workers;
@@ -165,13 +151,11 @@ let obs_term =
       calib;
       progress;
       progress_json;
-      model;
     }
   in
   Term.(
     const mk $ jobs_arg $ workers_arg $ timeout_arg $ chaos_arg $ metrics_arg
-    $ trace_arg $ profile_arg $ calib_arg $ progress_arg $ progress_json_arg
-    $ model_arg)
+    $ trace_arg $ profile_arg $ calib_arg $ progress_arg $ progress_json_arg)
 
 (* Run [f] under a root span and profile section named after the
    subcommand; enable the switches the flags ask for and dump the
@@ -185,19 +169,6 @@ let with_obs ~cmd o f =
       Qdp_dist.set_shard_timeout t)
     o.timeout;
   Option.iter Qdp_dist.set_chaos o.chaos;
-  (* After the jobs budget is pinned: "auto" probes under the
-     effective pool it will dispatch for. *)
-  (match
-     match o.model with Some m -> Some m | None -> Sys.getenv_opt "QDP_MODEL"
-   with
-  | None | Some "" | Some "off" -> ()
-  | Some "auto" -> ignore (Qdp_linalg.Tune.autotune ())
-  | Some path -> (
-      match Qdp_model.load_file path with
-      | Ok m -> Qdp_model.install m
-      | Error msg ->
-          Printf.eprintf
-            "qdp: --model %s: %s (falling back to static dispatch)\n" path msg));
   if o.metrics <> None || o.trace <> None then Qdp_obs.set_enabled true;
   if o.profile || o.calib <> None then begin
     Qdp_obs.Prof.set_enabled true;
@@ -835,52 +806,6 @@ let perf_cmd =
     (Cmd.info "perf" ~doc:"Performance comparison and regression gating.")
     [ diff_cmd; shape_cmd ]
 
-(* qdp model — run the kernel self-benchmark, print the fitted cost
-   model and write the fixed-shape BENCH_model.json artifact. *)
-let model_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_model.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Where to write the fitted model (fixed-shape JSON).")
-  in
-  let run out obs =
-    with_obs ~cmd:"model" obs @@ fun () ->
-    let m = Qdp_linalg.Tune.autotune () in
-    Printf.printf "cost model (jobs = %d)\n" m.Qdp_model.m_jobs;
-    Printf.printf "%-18s %14s %14s %16s %s\n" "kernel" "seq ns/MAC"
-      "par ns/MAC" "crossover MACs" "samples";
-    List.iter
-      (fun k ->
-        let ns = function
-          | Some f -> Printf.sprintf "%.3f" (1e9 *. f.Qdp_model.f_b)
-          | None -> "-"
-        in
-        let samples = function Some f -> f.Qdp_model.f_n | None -> 0 in
-        let cross =
-          match Qdp_model.kernel_crossover k with
-          | Some c -> Printf.sprintf "%.3g" c
-          | None -> "never"
-        in
-        Printf.printf "%-18s %14s %14s %16s %d+%d\n" k.Qdp_model.k_name
-          (ns k.Qdp_model.k_seq) (ns k.Qdp_model.k_par) cross
-          (samples k.Qdp_model.k_seq)
-          (samples k.Qdp_model.k_par))
-      m.Qdp_model.m_kernels;
-    Qdp_model.write_json m out;
-    Printf.printf "wrote %s\n" out
-  in
-  Cmd.v
-    (Cmd.info "model"
-       ~doc:
-         "Self-benchmark the dense kernels, fit the per-kernel cost model \
-          (seconds ~ a + b*MACs per dispatch path), print the fitted \
-          crossovers and write BENCH_model.json.  The fits drive seq/par \
-          dispatch when installed via $(b,--model auto) / $(b,QDP_MODEL); \
-          outputs are byte-identical with or without them.")
-    Term.(const run $ out_arg $ obs_term)
-
 (* qdp serve — the always-on verification daemon. *)
 let serve_default = Qdp_serve.Server.default_config
 
@@ -1054,7 +979,6 @@ let main =
         dist_cmd;
         turns_cmd;
         perf_cmd;
-        model_cmd;
         serve_cmd;
         load_cmd;
       ])

@@ -873,20 +873,6 @@ let parse_args () =
 
 let () =
   let cmd, metrics, trace, profile = parse_args () in
-  (* QDP_MODEL=auto self-benchmarks and installs the kernel cost model
-     (QDP_MODEL=FILE loads recorded calibration samples instead);
-     dispatch decisions change, output bytes must not — CI diffs the
-     tables with and without it. *)
-  (match Sys.getenv_opt "QDP_MODEL" with
-  | None | Some "" | Some "off" -> ()
-  | Some "auto" -> ignore (Qdp_linalg.Tune.autotune ())
-  | Some path -> (
-      match Qdp_model.load_file path with
-      | Ok m -> Qdp_model.install m
-      | Error msg ->
-          Printf.eprintf
-            "tables: QDP_MODEL %s: %s (falling back to static dispatch)\n"
-            path msg));
   if metrics <> None || trace <> None then Qdp_obs.set_enabled true;
   if profile then begin
     Qdp_obs.Prof.set_enabled true;

@@ -41,19 +41,8 @@ let best_candidate ~proto ~score candidates =
     Qdp_obs.Progress.step progress;
     s
   in
-  (* Candidate count is the work axis of the attack grid; the model
-     gate only bypasses the in-process fan-out (worker-process
-     sharding keeps its own policy). *)
-  let par =
-    Qdp_model.decide ~kernel:"grid.attack"
-      ~macs:(float_of_int (Array.length arr))
-      ~default:true
-  in
   let scores =
-    if (not par) && Qdp_dist.workers () = 0 then
-      Array.init (Array.length arr) eval
-    else
-      Qdp_dist.map_shards ~label:("attack/" ^ proto) ~n:(Array.length arr) eval
+    Qdp_dist.map_shards ~label:("attack/" ^ proto) ~n:(Array.length arr) eval
   in
   Qdp_obs.Progress.finish progress;
   let best = ref 0. and best_name = ref "none" in

@@ -744,18 +744,7 @@ let monte_carlo_hits ?label ~st ~trials f =
       done;
       !h
     in
-    (* The cost model only gates the in-process path: with worker
-       processes configured, sharding policy belongs to [map_shards]
-       (fork guards, chaos, degradation) and stays as-is. *)
-    let par =
-      Qdp_model.decide ~kernel:"grid.monte_carlo" ~macs:(float_of_int trials)
-        ~default:true
-    in
-    let hits =
-      if (not par) && workers () = 0 then Array.init nchunks chunk
-      else
-        let label = match label with Some l -> l ^ "/mc" | None -> "mc" in
-        map_shards ~label ~n:nchunks chunk
-    in
+    let label = match label with Some l -> l ^ "/mc" | None -> "mc" in
+    let hits = map_shards ~label ~n:nchunks chunk in
     Array.fold_left ( + ) 0 hits
   end

@@ -63,10 +63,8 @@ val accumulate_row : t -> int -> t -> int -> unit
 (** [apply_into m ~src ~dst] overwrites [dst] with [m] applied to every
     column of [src] — a GEMM over the batch that allocates nothing, so
     pipelines can ping-pong between two reusable buffers.  [src] and
-    [dst] must be distinct batches.  Dispatches sequential or
-    row-parallel via the {!Qdp_model} cost model (static cutoff
-    fallback); each output row has a single writer and a fixed
-    accumulation order, so the floats are identical either way.
+    [dst] must be distinct batches.  Sequential; each output entry is
+    accumulated in ascending contraction index.
     @raise Invalid_argument on shape or column-count mismatch. *)
 val apply_into : Mat.t -> src:t -> dst:t -> unit
 
@@ -79,10 +77,8 @@ val is_real : t -> bool
     equals [Vec.dot (col a i) (col a j)].  Only the upper triangle is
     accumulated (half the multiply-accumulates) and mirrored; the
     accumulation per entry runs over the vector index in ascending
-    order, and parallel tiles own disjoint output rows, so the result
-    is bit-identical at every [--jobs] value.  Dispatch is decided by
-    the {!Qdp_model} cost model when one is installed, else by the
-    static [Mat.par_mac_cutoff] fallback. *)
+    order.  Sequential: parallelism belongs to the grid of independent
+    calls above it, not inside one Gram. *)
 val gram : t -> Mat.t
 
 (** Direct access to the underlying storage (entry [(g, c)] at

@@ -5,7 +5,8 @@
    buffers).  Every kernel keeps the per-cell accumulation order of
    the original float-array implementation — ascending contraction
    index, zero-skip per entry — so results are bit-identical to the
-   pre-Bigarray code and across every dispatch path. *)
+   pre-Bigarray code.  The kernels are sequential: parallelism lives
+   at the grid level (Qdp_par, Qdp_dist), never inside one product. *)
 
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -85,25 +86,17 @@ let scale z a =
   done;
   m
 
-let par_mac_cutoff = 1 lsl 16
-
-let par_profitable ~macs =
-  macs >= float_of_int (par_mac_cutoff * Qdp_par.effective_jobs ())
-
-(* The Calib path tag records what actually executes: a parallel
-   decision on a one-core clamp still runs sequentially. *)
-let path_tag par = if par && Qdp_par.effective_jobs () > 1 then "par" else "seq"
-
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: shape mismatch";
-  let macs = Qdp_model.macs3 a.rows a.cols b.cols in
-  let par = Qdp_model.decide ~kernel:"mat.mul" ~macs ~default:(par_profitable ~macs) in
-  Qdp_obs.Calib.sample ~kernel:"mat.mul" ~macs ~path:(path_tag par) @@ fun () ->
+  (* Float MACs: a product of native ints can wrap negative for huge
+     shapes. *)
+  let macs = float_of_int a.rows *. float_of_int a.cols *. float_of_int b.cols in
+  Qdp_obs.Calib.sample ~kernel:"mat.mul" ~macs @@ fun () ->
   let m = create a.rows b.cols in
   let are = a.re and aim = a.im and bre = b.re and bim = b.im in
   let mre = m.re and mim = m.im in
   let acols = a.cols and bcols = b.cols in
-  let row i =
+  for i = 0 to a.rows - 1 do
     let abase = i * acols and obase = i * bcols in
     for k = 0 to acols - 1 do
       let ar = uget are (abase + k) and ai = uget aim (abase + k) in
@@ -117,12 +110,7 @@ let mul a b =
         done
       end
     done
-  in
-  if par then Qdp_par.parallel_for 0 a.rows row
-  else
-    for i = 0 to a.rows - 1 do
-      row i
-    done;
+  done;
   m
 
 let apply_into m v ~dst =
@@ -162,19 +150,16 @@ let trace m =
   { Complex.re = !sr; im = !si }
 
 let tensor a b =
-  (* Float MACs: four dimensions multiplied in native ints can wrap
-     negative for huge requests and silently defeat the guard. *)
-  let macs = Qdp_model.macs4 a.rows a.cols b.rows b.cols in
-  let par =
-    Qdp_model.decide ~kernel:"mat.tensor" ~macs ~default:(par_profitable ~macs)
+  let macs =
+    float_of_int a.rows *. float_of_int a.cols *. float_of_int b.rows
+    *. float_of_int b.cols
   in
-  Qdp_obs.Calib.sample ~kernel:"mat.tensor" ~macs ~path:(path_tag par)
-  @@ fun () ->
+  Qdp_obs.Calib.sample ~kernel:"mat.tensor" ~macs @@ fun () ->
   let m = create (a.rows * b.rows) (a.cols * b.cols) in
   let are = a.re and aim = a.im and bre = b.re and bim = b.im in
   let mre = m.re and mim = m.im in
   let mcols = m.cols in
-  let row_block ia =
+  for ia = 0 to a.rows - 1 do
     for ja = 0 to a.cols - 1 do
       let ar = uget are ((ia * a.cols) + ja) and ai = uget aim ((ia * a.cols) + ja) in
       if ar <> 0. || ai <> 0. then
@@ -188,12 +173,7 @@ let tensor a b =
           done
         done
     done
-  in
-  if par then Qdp_par.parallel_for 0 a.rows row_block
-  else
-    for ia = 0 to a.rows - 1 do
-      row_block ia
-    done;
+  done;
   m
 
 let tensor_list = function

@@ -4,7 +4,13 @@
     These back the density-operator side of the quantum simulator:
     partial traces, operator algebra, projectors, and the distance
     measures in {!Qdp_quantum.Distance} are all computed on values of
-    this type. *)
+    this type.
+
+    Every kernel runs sequentially on the calling domain.  Parallelism
+    belongs to the grids above one product (attack candidates, sweep
+    points, Monte-Carlo chunks), which fan out over [Qdp_par] domains
+    or [Qdp_dist] worker processes.  {!mul} and {!tensor} report MAC
+    counts and timings to {!Qdp_obs.Calib} when it is switched on. *)
 
 (** The storage type shared by {!Mat} and {!Batch}: one contiguous
     unboxed float64 buffer per complex component. *)
@@ -40,32 +46,6 @@ val add : t -> t -> t
 
 val sub : t -> t -> t
 val scale : Cx.t -> t -> t
-
-(** Static parallelism threshold for the dense kernels, in scalar
-    multiply-accumulates: a kernel whose MAC count meets the cutoff
-    goes row-parallel on the [Qdp_par] pool, below it the pool's
-    scheduling overhead beats the arithmetic and it stays on the
-    calling domain.  This constant (2{^16}) is the deterministic
-    {e fallback}: when a {!Qdp_model} cost model is installed, each
-    dispatch site asks the model's fitted per-kernel crossover
-    instead.  Parallel slices own disjoint output rows and keep the
-    per-cell accumulation order, so the floats are bit-identical at
-    any job count either side of the cutoff. *)
-val par_mac_cutoff : int
-
-(** [par_profitable ~macs] is the static fallback decision for a
-    dense kernel of [macs] (float, overflow-safe) multiply-accumulates:
-    true when every {e effective} worker ([Qdp_par.effective_jobs])
-    would get at least {!par_mac_cutoff} MACs of arithmetic.  A grid
-    too small to amortize fan-out over the actual pool stays
-    sequential — same floats either way. *)
-val par_profitable : macs:float -> bool
-
-(** [path_tag par] is the {!Qdp_obs.Calib} path label for a dispatch
-    decision: ["par"] only when the decision is parallel {e and} the
-    effective pool has more than one domain (a clamped pool runs the
-    sequential loop whatever was decided). *)
-val path_tag : bool -> string
 
 (** [mul a b] is the matrix product. *)
 val mul : t -> t -> t

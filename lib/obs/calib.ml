@@ -1,13 +1,13 @@
 (* Kernel calibration sampling: per-call (MAC-count, seconds,
-   allocated-words, dispatch-path) observations for the dense kernels,
-   exported to BENCH_calib.json as the raw data behind the ROADMAP
-   item-5 cost model.  Shares the profiler switch discipline: its own
-   atomic on/off flag, one branch per call while disabled.
+   allocated-words) observations for the dense kernels, exported to
+   BENCH_calib.json for `qdp perf diff`.  Shares the profiler switch
+   discipline: its own atomic on/off flag, one branch per call while
+   disabled.
 
    Per-kernel totals are unbounded; raw samples live in a fixed-size
    ring so a long run cannot grow memory without bound.  The ring
-   keeps the *last* [max_samples] observations — a tail window — so a
-   fitted model sees steady-state calls, not the cold-start prefix
+   keeps the *last* [max_samples] observations — a tail window — so
+   the samples show steady-state calls, not the cold-start prefix
    (JIT-warm caches, first-touch page faults, lazy pool spawn all land
    in the first calls). *)
 
@@ -16,7 +16,6 @@ type sample = {
   s_seconds : float;
   s_minor_words : float;
   s_major_words : float;
-  s_path : string;  (* "seq" | "par": the dispatch path that actually ran *)
 }
 
 type kernel_view = {
@@ -43,7 +42,7 @@ type kstat = {
 let max_samples = 512
 
 let dummy_sample =
-  { s_macs = 0.; s_seconds = 0.; s_minor_words = 0.; s_major_words = 0.; s_path = "seq" }
+  { s_macs = 0.; s_seconds = 0.; s_minor_words = 0.; s_major_words = 0. }
 
 let enabled_flag = Atomic.make false
 let on () = Atomic.get enabled_flag
@@ -70,7 +69,7 @@ let reset () =
   Hashtbl.reset table;
   order := []
 
-let sample ~kernel ~macs ?(path = "seq") f =
+let sample ~kernel ~macs f =
   if not (on ()) then f ()
   else begin
     let g0 = Gc.quick_stat () in
@@ -107,13 +106,7 @@ let sample ~kernel ~macs ?(path = "seq") f =
       k.minor_words <- k.minor_words +. minor;
       k.major_words <- k.major_words +. major;
       k.ring.(k.next) <-
-        {
-          s_macs = macs;
-          s_seconds = dt;
-          s_minor_words = minor;
-          s_major_words = major;
-          s_path = path;
-        };
+        { s_macs = macs; s_seconds = dt; s_minor_words = minor; s_major_words = major };
       k.next <- (k.next + 1) mod max_samples;
       if k.kept < max_samples then k.kept <- k.kept + 1
     in
@@ -151,11 +144,10 @@ let kernels () =
 
 let json_of_sample s =
   Printf.sprintf
-    "{\"macs\":%s,\"seconds\":%s,\"minor_words\":%s,\"major_words\":%s,\"path\":%s}"
+    "{\"macs\":%s,\"seconds\":%s,\"minor_words\":%s,\"major_words\":%s}"
     (Json.float s.s_macs) (Json.float s.s_seconds)
     (Json.float s.s_minor_words)
     (Json.float s.s_major_words)
-    (Json.str s.s_path)
 
 let to_json () =
   let buf = Buffer.create 1024 in

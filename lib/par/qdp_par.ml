@@ -257,22 +257,12 @@ let mc_chunk = 64
 let monte_carlo_hits ~st ~trials f =
   if trials <= 0 then 0
   else begin
-    (* Grid kernels have no MAC count; the trial count is the work
-       axis the cost model fits.  Default [true] preserves the
-       pre-model behaviour (always offer the grid to the pool and let
-       [effective_jobs] clamp it). *)
-    let par =
-      Qdp_model.decide ~kernel:"grid.monte_carlo" ~macs:(float_of_int trials)
-        ~default:true
-    in
-    let path = if par && effective_jobs () > 1 then "par" else "seq" in
-    Qdp_obs.Calib.sample ~kernel:"grid.monte_carlo"
-      ~macs:(float_of_int trials) ~path
+    Qdp_obs.Calib.sample ~kernel:"grid.monte_carlo" ~macs:(float_of_int trials)
     @@ fun () ->
     let nchunks = (trials + mc_chunk - 1) / mc_chunk in
     (* Split in chunk order on the calling domain: both the chunk
        states and the post-call position of [st] are independent of
-       the job count and of the dispatch decision. *)
+       the job count. *)
     let states = Array.make nchunks st in
     for k = 0 to nchunks - 1 do
       states.(k) <- Random.State.split st
@@ -288,10 +278,6 @@ let monte_carlo_hits ~st ~trials f =
       done;
       hits.(k) <- !h
     in
-    if par then parallel_for ~chunk:1 0 nchunks chunk
-    else
-      for k = 0 to nchunks - 1 do
-        chunk k
-      done;
+    parallel_for ~chunk:1 0 nchunks chunk;
     Array.fold_left ( + ) 0 hits
   end

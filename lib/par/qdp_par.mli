@@ -1,10 +1,13 @@
 (** Domain-parallel execution over a lazily-started, reusable pool.
 
-    Every embarrassingly parallel loop in the engines (Monte-Carlo
-    shot loops, attack-search candidate grids, fault-sweep grids,
-    dense kernels) funnels through this module.  The pool is built on
-    stdlib [Domain] only — no external dependency — and is started on
-    the first parallel call, then reused for the life of the process.
+    Every embarrassingly parallel grid in the engines (Monte-Carlo
+    shot loops, attack-search candidate grids, fault-sweep grids)
+    funnels through this module, directly or via [Qdp_dist.map_shards]
+    when no worker processes are configured.  The dense linear-algebra
+    kernels stay sequential: the grid is the only level that decides
+    sequential vs parallel.  The pool is built on stdlib [Domain] only
+    — no external dependency — and is started on the first parallel
+    call, then reused for the life of the process.
 
     {2 Determinism contract}
 

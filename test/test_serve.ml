@@ -1,6 +1,6 @@
 (* Tests for the always-on verification service (lib/serve): the LRU
    cache, the request codec and canonical key, deterministic
-   evaluation, and — via forked daemon processes — the wire protocol,
+   evaluation, and — via spawned [qdp serve] daemons — the wire protocol,
    session isolation, admission control, graceful drain and the
    end-to-end determinism digest. *)
 
@@ -13,8 +13,8 @@ module Load = Qdp_serve.Load
 module Registry = Qdp_core.Registry
 module Frame = Qdp_dist.Frame
 
-(* Populate the protocol registry (the CLI does this in its own
-   startup; the daemon children forked below inherit it). *)
+(* Populate the protocol registry (the daemon binary does this in its
+   own startup). *)
 let () = Qdp_core.Protocols.init ()
 
 let check = Alcotest.check
@@ -176,7 +176,7 @@ let test_eval_run_string_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected a parse error"
 
-(* --- forked daemon harness --- *)
+(* --- daemon harness --- *)
 
 let socket_counter = ref 0
 
@@ -185,43 +185,63 @@ let fresh_socket () =
   Printf.sprintf "/tmp/qdp-test-serve-%d-%d.sock" (Unix.getpid ())
     !socket_counter
 
-(* Forks a daemon child running [Server.run ~config] and hands the
-   parent a connect-ready config; SIGTERMs and reaps the child on the
-   way out.  Must run before any domain is spawned in this process
-   (the serve tests therefore do not enable the worker pool). *)
+(* The built CLI, next to this test binary in the build tree. *)
+let qdp_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/qdp.exe"
+
+(* Starts [qdp serve] with [config] as a child process and hands the
+   caller a connect-ready config; SIGTERMs and reaps the child on the
+   way out.  [Unix.create_process] rather than [Unix.fork]: OCaml 5
+   forbids fork once this process has spawned a domain, and earlier
+   cases may have started the evaluation pool. *)
 let with_server ?(config = Server.default_config) f =
   let config = { config with Server.socket_path = fresh_socket () } in
-  match Unix.fork () with
-  | 0 ->
-      (try Server.run ~config () with _ -> ());
-      Unix._exit 0
-  | pid ->
-      let term_sent = ref false in
-      let stop () =
-        if not !term_sent then begin
-          term_sent := true;
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-        end
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          stop ();
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-          try Unix.unlink config.Server.socket_path
-          with Unix.Unix_error _ -> ())
-      @@ fun () ->
-      (* Wait for the daemon to bind. *)
-      let rec connect tries =
-        match Client.connect config.Server.socket_path with
-        | c -> c
-        | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-          when tries < 250 ->
-            Unix.sleepf 0.02;
-            connect (tries + 1)
-      in
-      let first = connect 0 in
-      Fun.protect ~finally:(fun () -> Client.close first) @@ fun () ->
-      f ~config ~first ~stop ~pid
+  let pid =
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
+    Unix.create_process qdp_exe
+      [|
+        qdp_exe;
+        "serve";
+        "--socket";
+        config.Server.socket_path;
+        "--queue-limit";
+        string_of_int config.Server.queue_limit;
+        "--cache";
+        string_of_int config.Server.cache_capacity;
+        "--batch";
+        string_of_int config.Server.batch_max;
+        "--max-sessions";
+        string_of_int config.Server.max_sessions;
+      |]
+      null null null
+  in
+  let term_sent = ref false in
+  let stop () =
+    if not !term_sent then begin
+      term_sent := true;
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      try Unix.unlink config.Server.socket_path
+      with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  (* Wait for the daemon to bind. *)
+  let rec connect tries =
+    match Client.connect config.Server.socket_path with
+    | c -> c
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when tries < 250 ->
+        Unix.sleepf 0.02;
+        connect (tries + 1)
+  in
+  let first = connect 0 in
+  Fun.protect ~finally:(fun () -> Client.close first) @@ fun () ->
+  f ~config ~first ~stop ~pid
 
 let plain_request ?spec () = Request.make ?spec (some_protocol ())
 
