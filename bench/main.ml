@@ -170,7 +170,6 @@ let bench_table3 =
           ignore (Qma_star_reduction.best_cut pc)));
       Test.make ~name:"exact_entangled_opt_r3" (Staged.stage (fun () ->
           ignore (Exact.optimal_entangled_attack cfg ~x_state:xs ~y_state:ys)));
-      (* one node longer than the pre-batching harness could afford *)
       Test.make ~name:"exact_entangled_opt_r4" (Staged.stage (fun () ->
           let cfg4 = { Exact.r = 4; qubits = 1 } in
           ignore (Exact.optimal_entangled_attack cfg4 ~x_state:xs ~y_state:ys)));
@@ -206,135 +205,18 @@ let bench_extensions =
           ignore (Smp.accept_on_inputs smp xsmp ysmp)));
     ]
 
-(* --- batched Gram pipeline --- *)
+(* --- global entangled optimum --- *)
 
-(* The pre-change Gram kernel, kept verbatim as the A/B baseline: one
-   full scalar circuit pass per basis proof, then a boxed Vec.dot per
-   Gram entry. *)
-let naive_attack_gram cfg ~x_state ~y_state =
-  let open Qdp_linalg in
-  let pdim = 1 lsl Exact.proof_qubits cfg in
-  let outs =
-    Array.init pdim (fun i ->
-        Qdp_quantum.Pure.global_vector
-          (Exact.final_state cfg ~x_state ~y_state ~proof:(Vec.basis pdim i)))
-  in
-  Mat.init pdim pdim (fun i j -> Vec.dot outs.(i) outs.(j))
+(* The entangled table's largest instance (r = 5, 1-qubit
+   fingerprints: a 256-dimensional proof space). *)
+let global_cfg = { Exact.r = 5; qubits = 1 }
+let global_xs = Exact.toy_state ~qubits:1 5
+let global_ys = Exact.toy_state ~qubits:1 11
 
-(* The pre-Bigarray Gram kernel, kept verbatim as the storage A/B
-   baseline: the same tiled zero-skip loops Batch.gram ran before the
-   Bigarray migration, on plain float arrays.  Timing it against
-   Batch.gram on identical data isolates the storage/microkernel win
-   from the batching win measured by [naive_attack_gram]. *)
-let float_array_gram ~dim:d ~count:n (ar : float array) (ai : float array) =
-  let gr = Array.make (n * n) 0. and gi = Array.make (n * n) 0. in
-  let real = Array.for_all (fun x -> x = 0.) ai in
-  let tile = 32 in
-  let tiles = (n + tile - 1) / tile in
-  for t = 0 to tiles - 1 do
-    let i0 = t * tile and i1 = min n ((t + 1) * tile) - 1 in
-    if real then
-      for v = 0 to d - 1 do
-        let row = v * n in
-        for i = i0 to i1 do
-          let x = ar.(row + i) in
-          if x <> 0. then begin
-            let out = i * n in
-            for j = i to n - 1 do
-              gr.(out + j) <- gr.(out + j) +. (x *. ar.(row + j))
-            done
-          end
-        done
-      done
-    else
-      for v = 0 to d - 1 do
-        let row = v * n in
-        for i = i0 to i1 do
-          let xr = ar.(row + i) and xi = ai.(row + i) in
-          if xr <> 0. || xi <> 0. then begin
-            let out = i * n in
-            for j = i to n - 1 do
-              let yr = ar.(row + j) and yi = ai.(row + j) in
-              gr.(out + j) <- gr.(out + j) +. (xr *. yr) +. (xi *. yi);
-              gi.(out + j) <- gi.(out + j) +. (xr *. yi) -. (xi *. yr)
-            done
-          end
-        done
-      done
-  done;
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      gr.((j * n) + i) <- gr.((i * n) + j);
-      gi.((j * n) + i) <- -.gi.((i * n) + j)
-    done
-  done;
-  (gr, gi)
-
-(* The perf workload: the full entangled-attack Gram pipeline on the
-   largest path instance the tables exercise (r = 3, 2-qubit
-   fingerprints: a 256-proof batch of dimension-4096 states). *)
-let gram_cfg = { Exact.r = 3; qubits = 2 }
-let gram_xs = Exact.toy_state ~qubits:2 5
-let gram_ys = Exact.toy_state ~qubits:2 11
-
-(* The basis-proof final-state batch behind attack_gram, packed once
-   for the storage A/B (Bigarray Batch.gram vs the float-array kernel
-   above on copies of the same data). *)
-let gram_batch_data =
-  lazy
-    (let open Qdp_linalg in
-     let pdim = 1 lsl Exact.proof_qubits gram_cfg in
-     let b =
-       Batch.of_cols
-         (Array.init pdim (fun i ->
-              Qdp_quantum.Pure.global_vector
-                (Exact.final_state gram_cfg ~x_state:gram_xs ~y_state:gram_ys
-                   ~proof:(Vec.basis pdim i))))
-     in
-     let to_floats a =
-       Array.init (Bigarray.Array1.dim a) (Bigarray.Array1.get a)
-     in
-     (b, to_floats (Batch.raw_re b), to_floats (Batch.raw_im b)))
-
-let perf_gram_attack () =
-  ignore (Exact.attack_gram gram_cfg ~x_state:gram_xs ~y_state:gram_ys)
-
-(* The entangled table's largest acceptance form (r = 5, 1-qubit
-   fingerprints: 256 x 256), for the top-eigenpair A/B of the full
+(* Its dense acceptance form, for the top-eigenpair A/B of the full
    Jacobi spectrum against Lanczos. *)
 let top_eig_gram =
-  lazy
-    (Exact.attack_gram { Exact.r = 5; qubits = 1 }
-       ~x_state:(Exact.toy_state ~qubits:1 5)
-       ~y_state:(Exact.toy_state ~qubits:1 11))
-
-let bench_batch =
-  let open Qdp_linalg in
-  let stb = Random.State.make [| 0x6a7 |] in
-  let b2048 =
-    Batch.init 2048 8 (fun _ _ ->
-        Cx.make (States.gaussian stb) (States.gaussian stb))
-  in
-  let m64 =
-    Mat.init 64 64 (fun _ _ ->
-        Cx.make (States.gaussian stb) (States.gaussian stb))
-  in
-  let src =
-    Batch.init 64 32 (fun _ _ ->
-        Cx.make (States.gaussian stb) (States.gaussian stb))
-  in
-  let dst = Batch.create 64 32 in
-  let cfg1 = { Exact.r = 3; qubits = 1 } in
-  let xs1 = Exact.toy_state ~qubits:1 5 and ys1 = Exact.toy_state ~qubits:1 11 in
-  Test.make_grouped ~name:"batch"
-    [
-      Test.make ~name:"gram_2048x8" (Staged.stage (fun () ->
-          ignore (Batch.gram b2048)));
-      Test.make ~name:"apply_into_64x32" (Staged.stage (fun () ->
-          Batch.apply_into m64 ~src ~dst));
-      Test.make ~name:"attack_gram_r3_q1" (Staged.stage (fun () ->
-          ignore (Exact.attack_gram cfg1 ~x_state:xs1 ~y_state:ys1)));
-    ]
+  lazy (Exact.attack_gram global_cfg ~x_state:global_xs ~y_state:global_ys)
 
 (* --- parallel layer --- *)
 
@@ -435,7 +317,6 @@ let tests =
       bench_faults;
       bench_table3;
       bench_extensions;
-      bench_batch;
       bench_par;
     ]
 
@@ -573,34 +454,26 @@ let dump_perf () =
   let seqs =
     List.map (fun (_, reps, work) -> time_at 1 reps work) groups
   in
-  (* Kernel A/B: both columns sequential (jobs = 1), so the speedup is
-     purely the batched rewrite (blocked Gram, fused projections,
-     blit-based register moves) against the pre-change per-proof
-     kernel. *)
+  (* Kernel A/B, both columns sequential (jobs = 1). *)
   let kernels =
-    let batched = time_at 1 1 perf_gram_attack in
-    let naive =
+    (* The r = 5 global optimum: the dense reference form (one circuit
+       run per basis proof, one inner product per entry) plus Lanczos
+       on it, vs the matrix-free Lanczos on V^dagger V. *)
+    let global_dense =
       time_at 1 1 (fun () ->
           ignore
-            (naive_attack_gram gram_cfg ~x_state:gram_xs ~y_state:gram_ys))
+            (Qdp_linalg.Eig.top_hermitian
+               (Exact.attack_gram global_cfg ~x_state:global_xs
+                  ~y_state:global_ys)))
     in
-    (* Storage A/B on identical data: the kept-verbatim float-array
-       Gram loops vs the Bigarray Batch.gram microkernel, both
-       sequential. *)
-    let b, far, fai = Lazy.force gram_batch_data in
-    let ba_batched =
-      time_at 1 1 (fun () -> ignore (Qdp_linalg.Batch.gram b))
-    in
-    let ba_naive =
+    let global_free =
       time_at 1 1 (fun () ->
           ignore
-            (float_array_gram
-               ~dim:(Qdp_linalg.Batch.dim b)
-               ~count:(Qdp_linalg.Batch.count b)
-               far fai))
+            (Exact.optimal_entangled_attack global_cfg ~x_state:global_xs
+               ~y_state:global_ys))
     in
-    (* Top eigenpair of the r = 5 acceptance form: full-spectrum
-       Jacobi (what the entangled optimum used to run) vs Lanczos. *)
+    (* Top eigenpair of the dense r = 5 acceptance form: full-spectrum
+       Jacobi vs Lanczos. *)
     let g5 = Lazy.force top_eig_gram in
     let top_jacobi =
       time_at 1 1 (fun () -> ignore (Qdp_linalg.Eig.hermitian g5))
@@ -613,11 +486,8 @@ let dump_perf () =
     let case_prepared = time_at 1 1 (perf_fault_case_gt ~fresh:false) in
     [
       Printf.sprintf
-        "{\"kernel\":\"entangled_gram_r3_q2\",\"naive_s\":%.6f,\"batched_s\":%.6f,\"speedup\":%.3f}"
-        naive batched (naive /. batched);
-      Printf.sprintf
-        "{\"kernel\":\"gram_bigarray_r3_q2\",\"naive_s\":%.6f,\"batched_s\":%.6f,\"speedup\":%.3f}"
-        ba_naive ba_batched (ba_naive /. ba_batched);
+        "{\"kernel\":\"global_opt_r5\",\"naive_s\":%.6f,\"batched_s\":%.6f,\"speedup\":%.3f}"
+        global_dense global_free (global_dense /. global_free);
       Printf.sprintf
         "{\"kernel\":\"top_eig_r5\",\"naive_s\":%.6f,\"batched_s\":%.6f,\"speedup\":%.3f}"
         top_jacobi top_lanczos (top_jacobi /. top_lanczos);

@@ -690,7 +690,8 @@ let perf_cmd =
       & info [ "group-threshold" ] ~docv:"GROUP=T"
           ~doc:
             "Per-group threshold override (repeatable), e.g. \
-             $(b,--group-threshold fault_sweep=0.5).")
+             $(b,--group-threshold fault_sweep=0.5).  A $(i,GROUP) that \
+             names no metric of either input is an error (exit 2).")
   in
   let min_seconds_arg =
     Arg.(
@@ -714,6 +715,14 @@ let perf_cmd =
         let cfg =
           { Qdp_obs.Perf_diff.threshold; group_thresholds; min_seconds }
         in
+        (match Qdp_obs.Perf_diff.unknown_groups cfg ~old_ ~new_ with
+        | [] -> ()
+        | groups ->
+            Printf.eprintf
+              "qdp perf diff: --group-threshold names a group in neither \
+               input: %s\n"
+              (String.concat ", " groups);
+            exit 2);
         let r = Qdp_obs.Perf_diff.diff cfg ~old_ ~new_ in
         Format.printf "%a@?" Qdp_obs.Perf_diff.pp_report r;
         (* No-slowdown self-check on the candidate: a parallel path

@@ -821,16 +821,21 @@ let turns () =
   let t = Turns_exp.run ~seed:42 ~n:32 ~r:6 ~trials:2000 () in
   Format.fprintf fmt "%a@\n" Turns_exp.pp t
 
+(* One profile section per table, named as its own command. *)
 let all () =
-  table1 ();
-  table2 ();
-  table3 ();
-  soundness ();
-  entangled ();
-  tree ();
-  ablation ();
-  variants ();
-  check ()
+  List.iter
+    (fun (name, table) -> Qdp_obs.Prof.section name table)
+    [
+      ("t1", table1);
+      ("t2", table2);
+      ("t3", table3);
+      ("soundness", soundness);
+      ("entangled", entangled);
+      ("tree", tree);
+      ("ablation", ablation);
+      ("variants", variants);
+      ("check", check);
+    ]
 
 (* Split `--metrics FILE` / `--trace FILE` / `--jobs N` /
    `--workers N` / `--profile` out of argv; what remains selects the

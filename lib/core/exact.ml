@@ -25,88 +25,131 @@ let layout cfg =
   in
   Pure.layout ((("L", b) :: pairs) @ coins)
 
-(* The pipeline is linear in the proof: build the final (unnormalized)
-   global state for a given proof filling the intermediate registers. *)
-let final_state cfg ~x_state ~y_state ~proof =
+(* A coin-purified run as data: the fixed state [pre] in front of the
+   proof registers, the coin count, and the circuit steps.  Every step
+   is self-adjoint -- Hadamards, controlled swaps (self-inverse
+   permutations), symmetric-subspace projectors and the final POVM
+   element [|y><y|] -- so the adjoint of the run is the same steps in
+   reverse order. *)
+type step =
+  | Gate of string list * Mat.t
+  | Cswap of string * string * string
+  | Sym of string list
+
+type circuit = {
+  lay : Pure.layout;
+  pre : Vec.t;
+  coin_dim : int;
+  steps : step list;
+}
+
+let run_step s = function
+  | Gate (names, m) -> Pure.apply_on s names m
+  | Cswap (control, a, b) -> Pure.controlled_swap s ~control a b
+  | Sym names -> Pure.project_sym s names
+
+(* V: embed the proof as [pre (x) proof (x) |0...0>_coins], then run. *)
+let run c proof =
+  let global = Vec.tensor c.pre (Vec.tensor proof (Vec.basis c.coin_dim 0)) in
+  List.fold_left run_step (Pure.of_global c.lay global) c.steps
+
+(* V^dagger z into [dst]: the steps in reverse, then the adjoint of the
+   embedding -- the partial inner product with [pre] on the leading
+   registers and with [|0...0>] on the coins. *)
+let run_adjoint_into c z ~dst =
+  let zl = Pure.get_layout z in
+  if zl != c.lay && zl <> c.lay then invalid_arg "Exact: adjoint run layout";
+  let w = Pure.global_vector (List.fold_left run_step z (List.rev c.steps)) in
+  let pdim = Vec.dim dst in
+  if Vec.dim w <> Vec.dim c.pre * pdim * c.coin_dim then
+    invalid_arg "Exact: adjoint run dimension";
+  let wr = Vec.raw_re w and wi = Vec.raw_im w in
+  let pr = Vec.raw_re c.pre and pi = Vec.raw_im c.pre in
+  let dr = Vec.raw_re dst and di = Vec.raw_im dst in
+  Array.fill dr 0 pdim 0.;
+  Array.fill di 0 pdim 0.;
+  for a = 0 to Vec.dim c.pre - 1 do
+    let ar = pr.(a) and ai = pi.(a) in
+    for p = 0 to pdim - 1 do
+      let g = ((a * pdim) + p) * c.coin_dim in
+      (* conj pre_a * w_g *)
+      dr.(p) <- dr.(p) +. (ar *. wr.(g)) +. (ai *. wi.(g));
+      di.(p) <- di.(p) +. (ar *. wi.(g)) -. (ai *. wr.(g))
+    done
+  done
+
+(* The dense acceptance form: one run per basis proof, then one inner
+   product per upper-triangle entry, mirrored. *)
+let dense_gram c ~pdim =
+  let outs =
+    Array.init pdim (fun p -> Pure.global_vector (run c (Vec.basis pdim p)))
+  in
+  let g = Mat.create pdim pdim in
+  for i = 0 to pdim - 1 do
+    for j = i to pdim - 1 do
+      let z = Vec.dot outs.(i) outs.(j) in
+      Mat.set g i j z;
+      if j > i then Mat.set g j i (Cx.conj z)
+    done
+  done;
+  g
+
+(* The top eigenpair of V^dagger V, matrix-free: each Lanczos step is
+   one forward and one adjoint run.  V embeds the proof isometrically
+   (unit [pre], coins in a basis state) and then applies unitaries,
+   orthogonal projectors and [|y><y|] for unit [y] -- all contractions
+   -- so ||V^dagger V|| <= 1 and 1 is the stopping scale. *)
+let global_optimum c ~pdim =
+  Qdp_obs.Prof.section "exact.global_opt" @@ fun () ->
+  let top, opt =
+    Eig.top_operator ~dim:pdim ~scale:1. (fun x ~dst ->
+        run_adjoint_into c (run c x) ~dst)
+  in
+  (Float.max 0. top, opt)
+
+(* Algorithm 3's circuit: at every intermediate node a coin Hadamard
+   and a controlled swap of its two registers; then the SWAP test at
+   node j compares the register arriving from the left with the kept
+   one -- pairs (L, R10), (R11, R20), ... -- and v_r's POVM acts on the
+   arriving register. *)
+let path_circuit cfg ~x_state ~y_state =
   let r = cfg.r in
-  let lay = layout cfg in
-  let coins = Vec.basis (1 lsl (r - 1)) 0 in
-  let global = Vec.tensor x_state (Vec.tensor proof coins) in
-  let s = ref (Pure.of_global lay global) in
-  for j = 1 to r - 1 do
-    let c = Printf.sprintf "C%d" j in
-    s := Pure.apply_on !s [ c ] Gates.hadamard;
-    s :=
-      Pure.controlled_swap !s ~control:c (Printf.sprintf "R%d0" j)
-        (Printf.sprintf "R%d1" j)
-  done;
-  (* SWAP test at node j compares the register arriving from the left
-     with the kept one: pairs (L, R10), (R11, R20), ... *)
-  s := Pure.project_sym !s [ "L"; "R10" ];
-  for j = 1 to r - 2 do
-    s :=
-      Pure.project_sym !s
-        [ Printf.sprintf "R%d1" j; Printf.sprintf "R%d0" (j + 1) ]
-  done;
-  (* v_r's POVM on the arriving register *)
-  s :=
-    Pure.apply_on !s
-      [ Printf.sprintf "R%d1" (r - 1) ]
-      (Mat.of_vec y_state);
-  !s
+  if r < 2 then invalid_arg "Exact: the path circuit needs r >= 2";
+  let reg = Printf.sprintf in
+  let nodes = List.init (r - 1) (fun j -> j + 1) in
+  let links =
+    List.concat_map
+      (fun j ->
+        let c = reg "C%d" j in
+        [ Gate ([ c ], Gates.hadamard); Cswap (c, reg "R%d0" j, reg "R%d1" j) ])
+      nodes
+  in
+  let tests =
+    Sym [ "L"; "R10" ]
+    :: List.init (r - 2) (fun i ->
+           Sym [ reg "R%d1" (i + 1); reg "R%d0" (i + 2) ])
+  in
+  {
+    lay = layout cfg;
+    pre = x_state;
+    coin_dim = 1 lsl (r - 1);
+    steps = links @ tests @ [ Gate ([ reg "R%d1" (r - 1) ], Mat.of_vec y_state) ];
+  }
+
+let final_state cfg ~x_state ~y_state ~proof =
+  run (path_circuit cfg ~x_state ~y_state) proof
+
+let final_state_adjoint cfg ~x_state ~y_state z =
+  let dst = Vec.create (1 lsl proof_qubits cfg) in
+  run_adjoint_into (path_circuit cfg ~x_state ~y_state) z ~dst;
+  dst
 
 let accept_prob cfg ~x_state ~y_state ~proof =
   if cfg.r < 2 then Cx.norm2 (Vec.dot y_state x_state)
   else Pure.norm2 (final_state cfg ~x_state ~y_state ~proof)
 
-(* Columns of the initial batch: [pre (x) e_p (x) e_0] for every basis
-   proof [p] — built directly (one nonzero row per (amplitude of pre,
-   column) pair) instead of tensoring [pdim] separate globals. *)
-let basis_proof_batch ~pre ~pdim ~coin_dim =
-  let predim = Vec.dim pre in
-  let b = Batch.create (predim * pdim * coin_dim) pdim in
-  let bre = Batch.raw_re b and bim = Batch.raw_im b in
-  let pr = Vec.raw_re pre and pi = Vec.raw_im pre in
-  for a = 0 to predim - 1 do
-    for p = 0 to pdim - 1 do
-      let row = ((a * pdim) + p) * coin_dim in
-      bre.{(row * pdim) + p} <- pr.(a);
-      bim.{(row * pdim) + p} <- pi.(a)
-    done
-  done;
-  b
-
-(* One batched sweep of the circuit over all [2^proof_qubits] basis
-   proofs: the per-proof passes of the scalar pipeline collapse into
-   blits and batched GEMMs on a [2^total x pdim] column batch. *)
-let final_state_batch cfg ~x_state ~y_state =
-  let r = cfg.r in
-  if r < 2 then invalid_arg "Exact.final_state_batch: r >= 2";
-  let lay = layout cfg in
-  let pdim = 1 lsl proof_qubits cfg in
-  let init = basis_proof_batch ~pre:x_state ~pdim ~coin_dim:(1 lsl (r - 1)) in
-  let s = ref (Pure.batch_of_global lay init) in
-  for j = 1 to r - 1 do
-    let c = Printf.sprintf "C%d" j in
-    s := Pure.apply_on_batch !s [ c ] Gates.hadamard;
-    s :=
-      Pure.controlled_swap_batch !s ~control:c (Printf.sprintf "R%d0" j)
-        (Printf.sprintf "R%d1" j)
-  done;
-  s := Pure.project_sym_batch !s [ "L"; "R10" ];
-  for j = 1 to r - 2 do
-    s :=
-      Pure.project_sym_batch !s
-        [ Printf.sprintf "R%d1" j; Printf.sprintf "R%d0" (j + 1) ]
-  done;
-  s :=
-    Pure.apply_on_batch !s
-      [ Printf.sprintf "R%d1" (r - 1) ]
-      (Mat.of_vec y_state);
-  !s
-
 let attack_gram cfg ~x_state ~y_state =
-  Batch.gram (Pure.batch_data (final_state_batch cfg ~x_state ~y_state))
+  dense_gram (path_circuit cfg ~x_state ~y_state) ~pdim:(1 lsl proof_qubits cfg)
 
 let product_proof cfg pairs =
   if Array.length pairs <> cfg.r - 1 then
@@ -122,11 +165,9 @@ let honest_proof cfg state =
 
 let optimal_entangled_attack cfg ~x_state ~y_state =
   if cfg.r < 2 then (Cx.norm2 (Vec.dot y_state x_state), Vec.basis 1 0)
-  else begin
-    let gram = attack_gram cfg ~x_state ~y_state in
-    let top, opt = Eig.top_hermitian gram in
-    (Float.max 0. top, opt)
-  end
+  else
+    global_optimum (path_circuit cfg ~x_state ~y_state)
+      ~pdim:(1 lsl proof_qubits cfg)
 
 type star_config = { t : int; star_qubits : int }
 
@@ -139,53 +180,44 @@ let star_layout cfg =
   in
   Pure.layout regs
 
-let star_final_state cfg ~root_state ~leaf_states ~proof =
+(* The star: the internal node's coin-controlled swap, then its
+   permutation test on the kept register and all the leaf registers,
+   then the root's SWAP test between its own state and the forwarded
+   register. *)
+let star_circuit cfg ~root_state ~leaf_states =
   if Array.length leaf_states <> cfg.t - 1 then
     invalid_arg "Exact.star_accept_prob: need t - 1 leaf states";
-  let lay = star_layout cfg in
-  let global =
-    Vec.tensor_list
-      ([ root_state ] @ Array.to_list leaf_states @ [ proof; Vec.basis 2 0 ])
-  in
-  let s = ref (Pure.of_global lay global) in
-  s := Pure.apply_on !s [ "C" ] Gates.hadamard;
-  s := Pure.controlled_swap !s ~control:"C" "R0" "R1";
-  (* internal node: permutation test on its kept register and all the
-     leaf registers *)
-  s :=
-    Pure.project_sym !s
-      ("R0" :: List.init (cfg.t - 1) (fun i -> Printf.sprintf "L%d" (i + 1)));
-  (* root: SWAP test between its own state and the forwarded register *)
-  s := Pure.project_sym !s [ "X"; "R1" ];
-  !s
+  let leaves = List.init (cfg.t - 1) (fun i -> Printf.sprintf "L%d" (i + 1)) in
+  {
+    lay = star_layout cfg;
+    pre = Vec.tensor_list (root_state :: Array.to_list leaf_states);
+    coin_dim = 2;
+    steps =
+      [
+        Gate ([ "C" ], Gates.hadamard);
+        Cswap ("C", "R0", "R1");
+        Sym ("R0" :: leaves);
+        Sym [ "X"; "R1" ];
+      ];
+  }
+
+let star_proof_dim cfg = 1 lsl (2 * cfg.star_qubits)
+
+let star_final_state cfg ~root_state ~leaf_states ~proof =
+  run (star_circuit cfg ~root_state ~leaf_states) proof
 
 let star_accept_prob cfg ~root_state ~leaf_states ~proof =
   Pure.norm2 (star_final_state cfg ~root_state ~leaf_states ~proof)
 
-let star_final_state_batch cfg ~root_state ~leaf_states =
-  if Array.length leaf_states <> cfg.t - 1 then
-    invalid_arg "Exact.star_accept_prob: need t - 1 leaf states";
-  let lay = star_layout cfg in
-  let pdim = 1 lsl (2 * cfg.star_qubits) in
-  let pre = Vec.tensor_list (root_state :: Array.to_list leaf_states) in
-  let init = basis_proof_batch ~pre ~pdim ~coin_dim:2 in
-  let s = ref (Pure.batch_of_global lay init) in
-  s := Pure.apply_on_batch !s [ "C" ] Gates.hadamard;
-  s := Pure.controlled_swap_batch !s ~control:"C" "R0" "R1";
-  s :=
-    Pure.project_sym_batch !s
-      ("R0" :: List.init (cfg.t - 1) (fun i -> Printf.sprintf "L%d" (i + 1)));
-  s := Pure.project_sym_batch !s [ "X"; "R1" ];
-  !s
-
 let star_attack_gram cfg ~root_state ~leaf_states =
-  Batch.gram
-    (Pure.batch_data (star_final_state_batch cfg ~root_state ~leaf_states))
+  dense_gram
+    (star_circuit cfg ~root_state ~leaf_states)
+    ~pdim:(star_proof_dim cfg)
 
 let optimal_entangled_star_attack cfg ~root_state ~leaf_states =
-  let gram = star_attack_gram cfg ~root_state ~leaf_states in
-  let top, opt = Eig.top_hermitian gram in
-  (Float.max 0. top, opt)
+  global_optimum
+    (star_circuit cfg ~root_state ~leaf_states)
+    ~pdim:(star_proof_dim cfg)
 
 let optimal_split_attack st cfg ~x_state ~y_state ~cut_qubits ~sweeps =
   let pq = proof_qubits cfg in

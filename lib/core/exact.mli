@@ -7,8 +7,9 @@
     sets, so "every node accepts" is one global projector [P] applied
     to the coin-purified state: the acceptance probability of a proof
     [|xi>] is the quadratic form [<xi| V^dagger V |xi>] for a fixed
-    linear map [V].  Diagonalizing [V^dagger V] therefore yields the
-    {e exactly optimal} entangled attack — the number that separates
+    linear map [V].  The top eigenpair of [V^dagger V] — found by
+    Lanczos on its action [x -> V^dagger (V x)], without forming it —
+    therefore yields the {e exactly optimal} entangled attack — the number that separates
     the dQMA soundness (Definition 6) from the dQMA^sep,sep soundness
     (Definition 8) on the instance. *)
 
@@ -38,6 +39,14 @@ val final_state :
   proof:Vec.t ->
   Qdp_quantum.Pure.t
 
+(** [final_state_adjoint cfg ~x_state ~y_state z] is [V^dagger z] for
+    the linear map [V : proof -> final_state]: the circuit run
+    backwards (every step is self-adjoint), then the partial inner
+    product with [x_state] on [L] and with [|0...0>] on the coins.
+    @raise Invalid_argument if [z] is not over the protocol's layout. *)
+val final_state_adjoint :
+  config -> x_state:Vec.t -> y_state:Vec.t -> Qdp_quantum.Pure.t -> Vec.t
+
 (** [accept_prob cfg ~x_state ~y_state ~proof] executes Algorithm 3
     exactly: [v_0] prepares [x_state]; the given (arbitrary, possibly
     entangled) [proof] of dimension [2^(proof_qubits cfg)] fills the
@@ -47,12 +56,11 @@ val accept_prob : config -> x_state:Vec.t -> y_state:Vec.t -> proof:Vec.t -> flo
 
 (** [attack_gram cfg ~x_state ~y_state] is the acceptance form
     [V^dagger V] of the protocol on the proof space
-    ([2^(proof_qubits cfg)] square): entry [(p, q)] is the inner
-    product of the final states for basis proofs [|p>] and [|q>].  All
-    basis proofs run as one column batch through the batched circuit
-    kernels and the Gram matrix is one blocked {!Batch.gram} sweep.
-    The quadratic form [<xi| G |xi>] is the acceptance probability of
-    proof [|xi>]. *)
+    ([2^(proof_qubits cfg)] square), built densely as the reference:
+    one {!final_state} run per basis proof, then entry [(p, q)] is the
+    inner product of the final states for [|p>] and [|q>].  The
+    quadratic form [<xi| G |xi>] is the acceptance probability of proof
+    [|xi>].  {!optimal_entangled_attack} never builds it. *)
 val attack_gram : config -> x_state:Vec.t -> y_state:Vec.t -> Mat.t
 
 (** [product_proof cfg pairs] assembles the product proof
@@ -65,7 +73,10 @@ val honest_proof : config -> Vec.t -> Vec.t
 (** [optimal_entangled_attack cfg ~x_state ~y_state] computes the
     exact maximum acceptance over {e all} proofs — including entangled
     ones — as the top eigenvalue of the acceptance form, together with
-    an optimal proof vector. *)
+    an optimal proof vector.  Matrix-free: {!Eig.top_operator} on
+    [x -> V^dagger (V x)], one forward and one backward circuit run per
+    Lanczos step, so the cost is O(2^total) per step and the
+    [2^proof]-square form is never formed. *)
 val optimal_entangled_attack :
   config -> x_state:Vec.t -> y_state:Vec.t -> float * Vec.t
 
@@ -102,15 +113,16 @@ val star_final_state :
 val star_accept_prob :
   star_config -> root_state:Vec.t -> leaf_states:Vec.t array -> proof:Vec.t -> float
 
-(** [star_attack_gram cfg ~root_state ~leaf_states] is the acceptance
-    form on the two-register proof space, computed by the batched
-    pipeline (see {!attack_gram}). *)
+(** [star_attack_gram cfg ~root_state ~leaf_states] is the dense
+    acceptance form on the two-register proof space, built as the
+    reference (see {!attack_gram}). *)
 val star_attack_gram :
   star_config -> root_state:Vec.t -> leaf_states:Vec.t array -> Mat.t
 
 (** [optimal_entangled_star_attack cfg ~root_state ~leaf_states] is
     the exact optimum over all proofs (top eigenvalue of the
-    acceptance form) with an optimal proof vector. *)
+    acceptance form) with an optimal proof vector, computed
+    matrix-free as for {!optimal_entangled_attack}. *)
 val optimal_entangled_star_attack :
   star_config -> root_state:Vec.t -> leaf_states:Vec.t array -> float * Vec.t
 

@@ -124,24 +124,22 @@ let lanczos_start n =
   let u () = Random.State.float st 2. -. 1. in
   Vec.normalize (Vec.init n (fun _ -> Cx.make (u ()) (u ())))
 
-(* Lanczos with full reorthogonalisation for the top eigenpair only.
-   Each step orthogonalises [G q_k] against the whole basis twice,
-   solves the small real tridiagonal Ritz problem with [symmetric], and
-   stops once the Ritz residual [|beta_k s_k|] is at most
-   [1e-12 ||G||_F] -- which also covers breakdown (beta = 0, the zero
-   matrix included) -- or when the basis spans the space. *)
-let top_hermitian g =
-  Qdp_obs.Metrics.time top_hermitian_seconds @@ fun () ->
-  let n = Mat.rows g in
-  if n <> Mat.cols g then invalid_arg "Eig.top_hermitian: not square";
-  if n = 0 then invalid_arg "Eig.top_hermitian: empty matrix";
-  let tol = 1e-12 *. Mat.frobenius_norm g in
+(* Lanczos with full reorthogonalisation for the top eigenpair of the
+   Hermitian operator [apply] on dimension [n].  Each step
+   orthogonalises [A q_k] against the whole basis twice, solves the
+   small real tridiagonal Ritz problem with [symmetric], and stops once
+   the Ritz residual [|beta_k s_k|] is at most [1e-12 scale] -- which
+   also covers breakdown (beta = 0, the zero operator included) -- or
+   when the basis spans the space. *)
+let top_operator ~dim:n ~scale apply =
+  if n <= 0 then invalid_arg "Eig.top_operator: empty operator";
+  let tol = 1e-12 *. scale in
   let q = Array.make n (Vec.create 0) in
   let alpha = Array.make n 0. and beta = Array.make n 0. in
   let w = Vec.create n in
   q.(0) <- lanczos_start n;
   let rec step k =
-    Mat.apply_into g q.(k) ~dst:w;
+    apply q.(k) ~dst:w;
     alpha.(k) <- (Vec.dot q.(k) w).Complex.re;
     for _ = 1 to 2 do
       for j = 0 to k do
@@ -170,6 +168,13 @@ let top_hermitian g =
   let x = Vec.create n in
   Array.iteri (fun j sj -> Vec.axpy ~alpha:(Cx.re sj) q.(j) x) s;
   (theta, Vec.normalize x)
+
+let top_hermitian g =
+  Qdp_obs.Metrics.time top_hermitian_seconds @@ fun () ->
+  let n = Mat.rows g in
+  if n <> Mat.cols g then invalid_arg "Eig.top_hermitian: not square";
+  if n = 0 then invalid_arg "Eig.top_hermitian: empty matrix";
+  top_operator ~dim:n ~scale:(Mat.frobenius_norm g) (Mat.apply_into g)
 
 let eigenvalues_hermitian m = fst (hermitian m)
 

@@ -9,11 +9,11 @@
     [H = A + iB  ->  [[A, -B]; [B, A]]], whose spectrum doubles every
     eigenvalue of [H].
 
-    Callers that need only the largest eigenpair -- the exact
-    entangled optimum over an acceptance form of a few hundred rows,
-    and the alternating product/node optimisers -- use
-    {!top_hermitian}, a Lanczos solver that never forms the full
-    spectrum. *)
+    Callers that need only the largest eigenpair use the Lanczos
+    solver {!top_operator}, which never forms the full spectrum and
+    needs only the operator's action: the exact entangled optimum runs
+    it matrix-free on [V^dagger V], and the alternating product/node
+    optimisers run it on small dense forms through {!top_hermitian}. *)
 
 (** [symmetric a] diagonalizes the real symmetric matrix [a] (given as
     an array of rows).  Returns [(evals, evecs)] with eigenvalues in
@@ -28,16 +28,23 @@ val symmetric : float array array -> float array * float array array
     @raise Invalid_argument if [m] is not square. *)
 val hermitian : Mat.t -> float array * Mat.t
 
-(** [top_hermitian m] is the largest eigenvalue of the Hermitian
-    matrix [m] with a unit eigenvector for it, computed by Lanczos
-    iteration on [m] directly (no real embedding) with full, twice
-    applied reorthogonalisation.  The start vector is dense and drawn
-    from a fixed seed, so the result is deterministic: equal inputs give
-    bit-equal outputs.  Iteration stops when the Ritz residual
-    [||m x - lambda x||] falls to [1e-12 ||m||_F], on breakdown, or
-    after [rows m] steps.  In a degenerate top eigenspace the vector
-    returned is one member of it, not necessarily the one {!hermitian}
-    returns.
+(** [top_operator ~dim ~scale apply] is the largest eigenvalue of a
+    Hermitian operator on dimension [dim], given only by its action
+    [apply x ~dst] (which must overwrite [dst] with [A x] and leave [x]
+    alone), with a unit eigenvector for it.  Lanczos iteration with
+    full, twice applied reorthogonalisation; the start vector is dense
+    and drawn from a fixed seed, so the result is deterministic: equal
+    operators give bit-equal outputs.  Iteration stops when the Ritz
+    residual [||A x - lambda x||] falls to [1e-12 scale], on breakdown,
+    or after [dim] steps, so [scale] should bound [||A||] (any norm
+    that does).  In a degenerate top eigenspace the vector returned is
+    one member of it, not necessarily the one {!hermitian} returns.
+    @raise Invalid_argument if [dim <= 0]. *)
+val top_operator :
+  dim:int -> scale:float -> (Vec.t -> dst:Vec.t -> unit) -> float * Vec.t
+
+(** [top_hermitian m] is {!top_operator} on the Hermitian matrix [m]:
+    [apply] is {!Mat.apply_into} and [scale] is [||m||_F].
     @raise Invalid_argument if [m] is not square or is empty. *)
 val top_hermitian : Mat.t -> float * Vec.t
 

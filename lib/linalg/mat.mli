@@ -12,8 +12,8 @@
     or [Qdp_dist] worker processes.  {!mul} and {!tensor} report MAC
     counts and timings to {!Qdp_obs.Calib} when it is switched on. *)
 
-(** The storage type shared by {!Mat} and {!Batch}: one contiguous
-    unboxed float64 buffer per complex component. *)
+(** The storage type of a matrix: one contiguous unboxed float64
+    buffer per complex component. *)
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t

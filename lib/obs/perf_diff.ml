@@ -185,6 +185,12 @@ let threshold_for config group =
   | Some t -> t
   | None -> config.threshold
 
+let unknown_groups config ~old_ ~new_ =
+  let known g = List.exists (fun m -> String.equal m.m_group g) in
+  List.filter_map
+    (fun (g, _) -> if known g old_ || known g new_ then None else Some g)
+    config.group_thresholds
+
 let diff config ~old_ ~new_ =
   let new_tbl = Hashtbl.create 32 in
   List.iter (fun m -> Hashtbl.replace new_tbl m.m_key m) new_;

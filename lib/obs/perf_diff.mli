@@ -62,6 +62,13 @@ type result = {
 
 val diff : config -> old_:metric list -> new_:metric list -> result
 
+(** [unknown_groups config ~old_ ~new_] lists, in [group_thresholds]
+    order, the overridden groups that name no metric of either input —
+    an override that would silently apply to nothing.  [qdp perf diff]
+    rejects them. *)
+val unknown_groups :
+  config -> old_:metric list -> new_:metric list -> string list
+
 (** Number of [Regression] verdicts — the perf gate fails when
     positive. *)
 val regressions : result -> int

@@ -302,6 +302,22 @@ let prop_top_hermitian =
       top_agrees ~name:(Printf.sprintf "n=%d" n) (random_hermitian st n);
       true)
 
+(* top_hermitian is top_operator on the matrix's action, bit for bit:
+   the dense callers (Sep_sim's optimisers) see the same floats. *)
+let prop_top_operator_bit_equal =
+  QCheck.Test.make ~name:"top_operator bit-equals matrix" ~count:20
+    QCheck.(pair (int_range 1 32) small_nat)
+    (fun (n, seed) ->
+      let st = Random.State.make [| n; seed; 80 |] in
+      let g = random_hermitian st n in
+      let l1, x1 = Eig.top_hermitian g in
+      let l2, x2 =
+        Eig.top_operator ~dim:n ~scale:(Mat.frobenius_norm g) (Mat.apply_into g)
+      in
+      Int64.bits_of_float l1 = Int64.bits_of_float l2
+      && Vec.raw_re x1 = Vec.raw_re x2
+      && Vec.raw_im x1 = Vec.raw_im x2)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -309,6 +325,7 @@ let qcheck_cases =
       prop_cauchy_schwarz;
       prop_trace_tensor;
       prop_top_hermitian;
+      prop_top_operator_bit_equal;
     ]
 
 let () =

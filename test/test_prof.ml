@@ -226,7 +226,6 @@ let test_calib_tail_window () =
    jobs = 1 and jobs = 4 records identical kernel names, call counts
    and MAC totals, and computes bit-identical results. *)
 let test_calib_jobs_invariance () =
-  let open Qdp_linalg in
   let jobs0 = Qdp_par.jobs () in
   Calib.reset ();
   Calib.set_enabled true;
@@ -236,12 +235,13 @@ let test_calib_jobs_invariance () =
       Calib.set_enabled false;
       Calib.reset ())
     (fun () ->
-      let batch () =
+      let hits () =
         let st = Random.State.make [| 77 |] in
-        Batch.init 512 16 (fun _ _ ->
-            Cx.make
-              (Random.State.float st 2. -. 1.)
-              (Random.State.float st 2. -. 1.))
+        let n =
+          Qdp_par.monte_carlo_hits ~st ~trials:(5 * Qdp_par.mc_chunk)
+            (fun s -> Random.State.float s 1. < 0.3)
+        in
+        (n, Random.State.bits st)
       in
       let view () =
         List.map
@@ -249,20 +249,18 @@ let test_calib_jobs_invariance () =
           (Calib.kernels ())
       in
       Qdp_par.set_jobs 1;
-      let g1 = Batch.gram (batch ()) in
+      let h1 = hits () in
       let v1 = view () in
       Calib.reset ();
       Qdp_par.set_jobs 4;
-      let g4 = Batch.gram (batch ()) in
+      let h4 = hits () in
       let v4 = view () in
       Alcotest.(check (list (triple string int (float 0.))))
         "kernel attribution is jobs-invariant" v1 v4;
-      Alcotest.(check bool) "gram MACs recorded" true
-        (List.exists (fun (n, _, m) -> n = "batch.gram" && m > 0.) v1);
-      Alcotest.(check bool) "results bit-identical across job counts" true
-        (Batch.equal ~eps:0. (Batch.of_cols [| Mat.apply g1 (Vec.basis 16 0) |])
-           (Batch.of_cols [| Mat.apply g4 (Vec.basis 16 0) |])
-        && Mat.equal ~eps:0. g1 g4))
+      Alcotest.(check bool) "monte_carlo trials recorded" true
+        (List.exists (fun (n, _, m) -> n = "grid.monte_carlo" && m > 0.) v1);
+      Alcotest.(check (pair int int))
+        "results bit-identical across job counts" h1 h4)
 
 (* --- Progress --- *)
 
@@ -701,6 +699,40 @@ let test_diff_slowdowns () =
     (List.length
        (Perf_diff.slowdowns lax (Json.parse (perf_fixture ~seq:0.1 ~par:0.5))))
 
+(* An override for a group that neither input has would apply to
+   nothing: the library names it, and [qdp perf diff] exits 2 with the
+   group in the message instead of silently using the default band. *)
+let test_diff_unknown_group () =
+  let ms = Perf_diff.metrics_of_string (perf_fixture ~seq:1.0 ~par:0.5) in
+  let cfg =
+    {
+      Perf_diff.default_config with
+      group_thresholds = [ ("gram_batch", 1.0); ("mat.mul", 1.0) ];
+    }
+  in
+  Alcotest.(check (list string)) "only the absent group is named"
+    [ "mat.mul" ]
+    (Perf_diff.unknown_groups cfg ~old_:ms ~new_:ms);
+  let file = Filename.temp_file "perf" ".json" in
+  let err = Filename.temp_file "perf" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file; Sys.remove err)
+    (fun () ->
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc (perf_fixture ~seq:1.0 ~par:0.5));
+      let qdp =
+        Filename.concat (Filename.dirname Sys.executable_name) "../bin/qdp.exe"
+      in
+      let code =
+        Sys.command
+          (Filename.quote_command qdp ~stdout:Filename.null ~stderr:err
+             [ "perf"; "diff"; file; file; "--group-threshold"; "mat.mul=1.0" ])
+      in
+      Alcotest.(check int) "qdp perf diff exits 2" 2 code;
+      let msg = In_channel.with_open_text err In_channel.input_all in
+      Alcotest.(check bool) "message names the group" true
+        (contains ~needle:"mat.mul" msg))
+
 let test_diff_malformed () =
   let fails s =
     match Perf_diff.metrics_of_string s with
@@ -758,6 +790,8 @@ let () =
           Alcotest.test_case "extract calib" `Quick test_diff_extract_calib;
           Alcotest.test_case "extract obs" `Quick test_diff_extract_obs;
           Alcotest.test_case "slowdown self-check" `Quick test_diff_slowdowns;
+          Alcotest.test_case "unknown override group" `Quick
+            test_diff_unknown_group;
           Alcotest.test_case "malformed input" `Quick test_diff_malformed;
         ] );
     ]

@@ -417,6 +417,15 @@ let test_trace_distance_metric () =
   check_float ~eps:1e-8 "symmetry" (d ma mb) (d mb ma);
   Alcotest.(check bool) "triangle" true (d ma mc <= d ma mb +. d mb mc +. 1e-7)
 
+(* --- register errors --- *)
+
+let test_unknown_register_message () =
+  let lay = Pure.layout [ ("L", 1); ("R", 1) ] in
+  let s = Pure.zero lay in
+  Alcotest.check_raises "names the register and the layout"
+    (Invalid_argument "Pure: unknown register \"Q\" (layout has \"L\", \"R\")")
+    (fun () -> ignore (Pure.apply_on s [ "Q" ] Gates.hadamard))
+
 let () =
   Alcotest.run "quantum"
     [
@@ -468,6 +477,11 @@ let () =
             test_pure_random_circuit_preserves_norm;
           Alcotest.test_case "reduced density trace" `Quick
             test_pure_reduced_density_trace;
+        ] );
+      ( "errors",
+        [
+          Alcotest.test_case "unknown register" `Quick
+            test_unknown_register_message;
         ] );
       ( "povm",
         [

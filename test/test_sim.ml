@@ -1,8 +1,11 @@
 (* Differential tests for the acceptance engines: the transfer-matrix
    path DP and tree DP against brute-force coin enumeration, and the
-   product-proof engine against the exact state-vector simulator. *)
+   product-proof engine against the exact state-vector simulator, and
+   the fused kernels the exact simulator runs on (Pure.project_sym,
+   Mat.quad_minor / quad_major) against naive reference loops. *)
 
 open Qdp_linalg
+open Qdp_quantum
 open Qdp_commcc
 open Qdp_core
 
@@ -329,6 +332,182 @@ let test_repeat_accept () =
   check_float ~eps:1e-12 "p^k" 0.25 (Sim.repeat_accept 2 0.5);
   check_float ~eps:1e-12 "k=0" 1. (Sim.repeat_accept 0 0.3)
 
+(* --- the matrix-free global optimum against the dense reference --- *)
+
+(* Oracle: the dense acceptance form (one circuit run per basis proof)
+   and the full Jacobi spectrum, independent of Lanczos. *)
+let jacobi_top g =
+  let evals = Eig.eigenvalues_hermitian g in
+  evals.(Array.length evals - 1)
+
+let form_value g v = (Vec.dot v (Mat.apply g v)).Complex.re
+
+let check_optimum what g (value, proof) =
+  check_float ~eps:1e-9 (what ^ ": value") (jacobi_top g) value;
+  check_float ~eps:1e-9 (what ^ ": proof achieves it") value
+    (form_value g proof)
+
+let test_path_optimum_matches_dense () =
+  List.iter
+    (fun (r, qubits, xk, yk) ->
+      let cfg = { Exact.r; qubits } in
+      let x_state = Exact.toy_state ~qubits xk in
+      let y_state = Exact.toy_state ~qubits yk in
+      check_optimum
+        (Printf.sprintf "r=%d qubits=%d" r qubits)
+        (Exact.attack_gram cfg ~x_state ~y_state)
+        (Exact.optimal_entangled_attack cfg ~x_state ~y_state))
+    [ (2, 1, 1, 2); (3, 1, 1, 2); (4, 1, 5, 11); (2, 2, 1, 2) ]
+
+let test_star_optimum_matches_dense () =
+  List.iter
+    (fun (t, star_qubits) ->
+      let cfg = { Exact.t; star_qubits } in
+      let root_state = Exact.toy_state ~qubits:star_qubits 1 in
+      let leaf_states =
+        Array.init (t - 1) (fun i -> Exact.toy_state ~qubits:star_qubits (2 + i))
+      in
+      check_optimum
+        (Printf.sprintf "t=%d qubits=%d" t star_qubits)
+        (Exact.star_attack_gram cfg ~root_state ~leaf_states)
+        (Exact.optimal_entangled_star_attack cfg ~root_state ~leaf_states))
+    [ (3, 1); (4, 1); (3, 2) ]
+
+(* V's adjoint, as the matrix-free solver uses it: <V p, z> = <p, V^dagger z>
+   for random proofs p and random global states z. *)
+let prop_adjoint_identity =
+  QCheck.Test.make ~name:"adjoint <Vp,z> = <p,V^dagger z>"
+    ~count:20
+    QCheck.(pair (int_range 2 4) small_nat)
+    (fun (r, seed) ->
+      let st = Random.State.make [| r; seed; 0xad7 |] in
+      let cfg = { Exact.r; qubits = 1 } in
+      let x_state = States.random_unit st 2 and y_state = States.random_unit st 2 in
+      let p = States.random_unit st (1 lsl Exact.proof_qubits cfg) in
+      let vp = Exact.final_state cfg ~x_state ~y_state ~proof:p in
+      let z =
+        Qdp_quantum.Pure.of_global (Qdp_quantum.Pure.get_layout vp)
+          (States.random_unit st (Qdp_quantum.Pure.dim vp))
+      in
+      let lhs = Qdp_quantum.Pure.inner vp z in
+      let rhs = Vec.dot p (Exact.final_state_adjoint cfg ~x_state ~y_state z) in
+      Cx.abs (Cx.sub lhs rhs) <= 1e-12)
+
+(* The adjoint needs z over V's own layout: the same registers in
+   another order have the same dimension but mean a different state. *)
+let test_adjoint_rejects_reordered_layout () =
+  let cfg = { Exact.r = 3; qubits = 1 } in
+  let x_state = Exact.toy_state ~qubits:1 1 in
+  let y_state = Exact.toy_state ~qubits:1 2 in
+  let p = Vec.basis (1 lsl Exact.proof_qubits cfg) 0 in
+  let vp = Exact.final_state cfg ~x_state ~y_state ~proof:p in
+  let swapped =
+    Pure.layout (List.rev (Pure.layout_registers (Pure.get_layout vp)))
+  in
+  let z = Pure.of_global swapped (Pure.global_vector vp) in
+  Alcotest.check_raises "reordered registers"
+    (Invalid_argument "Exact: adjoint run layout") (fun () ->
+      ignore (Exact.final_state_adjoint cfg ~x_state ~y_state z))
+
+let with_jobs n f =
+  let old = Qdp_par.jobs () in
+  Qdp_par.set_jobs n;
+  Fun.protect ~finally:(fun () -> Qdp_par.set_jobs old) f
+
+let test_exact_gram_jobs_invariant () =
+  let cfg = { Exact.r = 3; qubits = 1 } in
+  let x_state = Exact.toy_state ~qubits:1 1 in
+  let y_state = Exact.toy_state ~qubits:1 2 in
+  let run () =
+    ( Exact.attack_gram cfg ~x_state ~y_state,
+      Exact.optimal_entangled_attack cfg ~x_state ~y_state )
+  in
+  let g1, (v1, p1) = with_jobs 1 run and g4, (v4, p4) = with_jobs 4 run in
+  Alcotest.(check bool) "attack gram byte-identical across jobs" true
+    (Mat.equal ~eps:0. g1 g4);
+  Alcotest.(check bool) "optimum byte-identical across jobs" true
+    (Int64.bits_of_float v1 = Int64.bits_of_float v4
+    && Vec.raw_re p1 = Vec.raw_re p4
+    && Vec.raw_im p1 = Vec.raw_im p4)
+
+(* --- the kernels the exact pipeline runs on --- *)
+
+(* Mat.quad_minor / quad_major against the boxed quadruple loops they
+   replaced. *)
+let naive_quad_minor g v =
+  let sub = Vec.dim v in
+  let n = Mat.rows g / sub in
+  Mat.init n n (fun i i' ->
+      let acc = ref Cx.zero in
+      for j = 0 to sub - 1 do
+        for j' = 0 to sub - 1 do
+          acc :=
+            Cx.add !acc
+              (Cx.mul
+                 (Cx.mul (Cx.conj (Vec.get v j))
+                    (Mat.get g ((i * sub) + j) ((i' * sub) + j')))
+                 (Vec.get v j'))
+        done
+      done;
+      !acc)
+
+let naive_quad_major g u =
+  let n = Vec.dim u in
+  let sub = Mat.rows g / n in
+  Mat.init sub sub (fun j j' ->
+      let acc = ref Cx.zero in
+      for i = 0 to n - 1 do
+        for i' = 0 to n - 1 do
+          acc :=
+            Cx.add !acc
+              (Cx.mul
+                 (Cx.mul (Cx.conj (Vec.get u i))
+                    (Mat.get g ((i * sub) + j) ((i' * sub) + j')))
+                 (Vec.get u i'))
+        done
+      done;
+      !acc)
+
+let prop_quad_contractions =
+  QCheck.Test.make ~name:"quad_minor/quad_major match naive nests"
+    ~count:40
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, k) ->
+      let n = 2 + (k mod 3) and sub = 2 + ((k / 3) mod 3) in
+      let st = Random.State.make [| seed; 0x40ad |] in
+      let g =
+        Mat.init (n * sub) (n * sub) (fun _ _ -> Cx.make (gaussian st) (gaussian st))
+      in
+      let v = States.random_unit st sub in
+      let u = States.random_unit st n in
+      Mat.equal (Mat.quad_minor g v) (naive_quad_minor g v)
+      && Mat.equal (Mat.quad_major g u) (naive_quad_major g u))
+
+(* naive symmetric projection: average the scalar permutation unitary
+   over all k! permutations, materializing each term *)
+let naive_project_sym s names =
+  let arr = Array.of_list names in
+  let perms = Symmetric.permutations (Array.length arr) in
+  let fact = float_of_int (List.length perms) in
+  let acc = ref (Vec.create (Pure.dim s)) in
+  List.iter
+    (fun pi ->
+      acc :=
+        Vec.add !acc (Pure.global_vector (Pure.permute_registers s arr pi)))
+    perms;
+  Vec.scale (Cx.re (1. /. fact)) !acc
+
+let prop_project_sym_fused =
+  QCheck.Test.make ~name:"fused project_sym matches naive average"
+    ~count:40 QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| seed; 0x5f1 |] in
+      let lay = Pure.layout [ ("U", 1); ("V", 1); ("W", 1) ] in
+      let dim = 1 lsl Pure.total_qubits lay in
+      let s = Pure.of_global lay (States.random_unit st dim) in
+      let names = [ "U"; "V"; "W" ] in
+      Vec.equal (Pure.global_vector (Pure.project_sym s names))
+        (naive_project_sym s names))
+
 let () =
   Alcotest.run "sim"
     [
@@ -355,6 +534,24 @@ let () =
             test_entangled_beats_or_matches_product;
           Alcotest.test_case "respects Lemma 17" `Quick
             test_entangled_attack_below_soundness_bound;
+        ] );
+      ( "kernels",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_project_sym_fused; prop_quad_contractions ] );
+      ( "exact-pipeline",
+        [
+          Alcotest.test_case "path optimum matches dense ref" `Quick
+            test_path_optimum_matches_dense;
+          Alcotest.test_case "star optimum matches dense ref" `Quick
+            test_star_optimum_matches_dense;
+          QCheck_alcotest.to_alcotest prop_adjoint_identity;
+          Alcotest.test_case "adjoint rejects reordered layout" `Quick
+            test_adjoint_rejects_reordered_layout;
+        ] );
+      ( "determinism",
+        [
+          Alcotest.test_case "attack gram jobs-invariant" `Quick
+            test_exact_gram_jobs_invariant;
         ] );
       ( "down_tree",
         [
